@@ -11,9 +11,9 @@ import sys
 
 import numpy as np
 
-from . import emdreg, metrics, mlp, pipeline, resample, synthbench, volpost
+from . import emdreg, metrics, mlp, pipeline, synthbench, volpost
 from .errors import ConfigError, DataError, DivergenceError
-from .formats.las import parse_las, write_las
+from .formats.las import parse_las
 from .formats.segy import TraceLayout, parse_segy
 from .formats.svol import read_svol, write_svol
 from .formats.volume import volume_from_traces
@@ -49,16 +49,7 @@ def _cmd_synth(args):
         n_samples=args.samples, layer_count=args.layers,
         wavelet_center_freq_hz=args.wavelet_freq, noise_level=args.noise)
     field = synthbench.generate_field(params)
-    os.makedirs(args.out, exist_ok=True)
-    for name, vol in field.volumes.items():
-        write_svol(os.path.join(args.out, f"{name}.svol"), vol)
-    for well in field.wells:
-        las_path = os.path.join(args.out, f"well_{well.well_id}.las")
-        with open(las_path, "w") as fh:
-            fh.write(write_las(synthbench.well_to_las(well)))
-        vel_path = os.path.join(args.out, f"vel_{well.well_id}.csv")
-        with open(vel_path, "w") as fh:
-            fh.write(synthbench.velocity_csv(well.velocity))
+    synthbench.write_field(field, args.out)
     print(f"wrote benchmark field to {args.out} "
           f"({len(field.wells)} wells, seed {args.seed})")
 
@@ -104,17 +95,14 @@ def _cmd_metrics(args):
 
 
 def _cmd_regularize(args):
+    settings = {p.key: getattr(args, p.key) for p in pipeline.PARAMS.values()
+                if getattr(args, p.key) is not None}
+    config = pipeline.parse_config("", {**settings, "method": args.method})
+    method = pipeline.METHODS[config.method]
     wells = pipeline.read_patterns_csv(args.patterns)
-    params = pipeline.MethodParams(
-        method=args.method, zeta_max_hz=args.zeta_max, wavelet=args.wavelet,
-        wd_levels=args.levels,
-        truncate_details=[int(v) for v in args.truncate.split(",") if v]
-        if args.truncate else None,
-        p1=args.p1, sd_threshold=args.sd, avg_span=args.span)
     reports = {}
     for w in wells:
-        out, report = pipeline.regularize_target(
-            w.series(w.sf), params, w.series(w.amp), args.gate_tol)
+        out, report = method.regularize(w.series(w.sf), config, w.series(w.amp))
         w.sf = out.values
         reports[w.well_id] = report
     pipeline.write_patterns_csv(args.out, wells)
@@ -142,27 +130,16 @@ def _cmd_emd_dump(args):
 
 def _cmd_train(args):
     wells = pipeline.read_patterns_csv(args.patterns)
-    raw_inputs = np.vstack([np.column_stack([w.imp, w.amp, w.freq]) for w in wells])
-    inputs_scored, input_stats = resample.zscore(raw_inputs)
-    raw_targets = np.concatenate([w.sf for w in wells])
-    targets_norm, target_stats = resample.minmax_to_band(raw_targets)
-    provenance = []
-    for w in wells:
-        provenance.extend((w.well_id, float(t)) for t in w.times_ms)
-    patterns = resample.PatternSet(inputs=inputs_scored, targets=targets_norm,
-                                   provenance=provenance)
-    split = resample.split_patterns(patterns, seed=args.split_seed)
-    model = mlp.init_model(3, args.hidden, seed=args.seed)
-    trained, history = mlp.scg_train(
-        model, split.train.inputs, split.train.targets,
-        mlp.ScgParams(max_iters=args.max_iters, target_loss=args.target_loss))
-    bundle = mlp.ModelBundle(model=trained, input_stats=input_stats,
-                             target_stats=target_stats, seed=args.seed)
+    config = pipeline.RunConfig(hidden=args.hidden, max_iters=args.max_iters,
+                                train_seed=args.seed, split_seed=args.split_seed,
+                                target_loss=args.target_loss)
+    inputs, input_stats, targets, target_stats = pipeline.pool_patterns(wells)
+    bundle, history, split = pipeline.train_model(
+        wells, config, inputs, input_stats, targets, target_stats)
     mlp.save_model(args.out, bundle)
 
     def describe(ps):
-        pred = target_stats.invert(mlp.forward_batch(trained, ps.inputs))
-        report = metrics.evaluate(pred, target_stats.invert(ps.targets))
+        report = pipeline.evaluate_subset(bundle, ps)
         return (f"cc={report.cc:.4f} rmse={report.rmse:.4f} "
                 f"aem={report.aem:.4f} si={report.si:.4f}")
 
@@ -279,16 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regularize", help="filter the target column of a pattern CSV")
     p.add_argument("patterns")
-    p.add_argument("--method", choices=("none", "avg9", "ft", "wd", "emd"),
-                   required=True)
-    p.add_argument("--zeta-max", type=float, default=None, help="Hz (ft)")
-    p.add_argument("--wavelet", default="db4")
-    p.add_argument("--levels", type=int, default=6)
-    p.add_argument("--truncate", default=None, help="e.g. 1,2,3,4,5 (wd)")
-    p.add_argument("--p1", type=int, default=1, help="IMFs to suppress (emd)")
-    p.add_argument("--sd", type=float, default=0.2, help="sift threshold (emd)")
-    p.add_argument("--span", type=int, default=9, help="window (avg9)")
-    p.add_argument("--gate-tol", type=float, default=0.05)
+    p.add_argument("--method", choices=tuple(pipeline.METHODS), required=True)
+    for param in pipeline.PARAMS.values():
+        # unset flags keep the RunConfig defaults
+        p.add_argument(param.flag, dest=param.key, help=param.help)
     p.add_argument("--out", required=True)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_regularize)

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, DataError
-from .ftreg import entropy_gate, RegularizationReport
-from .metrics import psd, spectral_entropy
+from .ftreg import regularization_report
+from .metrics import psd, spectral_entropy  # noqa: F401  only for perfbench/spans.py
 from .resample import TimeSeries
 
 
@@ -190,13 +190,5 @@ def regularize_emd(series: TimeSeries, params: SiftParams | None = None,
     for imf in decomposition.imfs[:p1]:
         out_values -= imf.values
     out = series.with_values(out_values)
-    h_orig = spectral_entropy(psd(series))
-    h_reg = spectral_entropy(psd(out))
-    gate = None
-    if predictor is not None:
-        gate = entropy_gate(series, out, predictor, tol_bits)
-    report = RegularizationReport(
-        method="emd", entropy_original=h_orig, entropy_regularized=h_reg, gate=gate,
-        detail={"p1": p1, "imf_count": count},
-    )
-    return out, report
+    return out, regularization_report("emd", series, out, predictor, tol_bits,
+                                      {"p1": p1, "imf_count": count})

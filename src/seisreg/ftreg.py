@@ -57,18 +57,12 @@ class RegularizationReport:
     detail: dict | None = None
 
     def to_dict(self):
-        d = {
-            "method": self.method,
-            "entropy_original": self.entropy_original,
-            "entropy_regularized": self.entropy_regularized,
-        }
+        d = {"method": self.method, "entropy_original": self.entropy_original,
+             "entropy_regularized": self.entropy_regularized}
         if self.gate is not None:
-            d["gate_passed"] = self.gate.passed
-            d["entropy_predictor"] = self.gate.entropy_predictor
-            d["gate_tol_bits"] = self.gate.tol_bits
-        if self.detail:
-            d.update(self.detail)
-        return d
+            d.update(gate_passed=self.gate.passed, gate_tol_bits=self.gate.tol_bits,
+                     entropy_predictor=self.gate.entropy_predictor)
+        return {**d, **(self.detail or {})}
 
 
 def dft(series: TimeSeries) -> Spectrum:
@@ -114,32 +108,35 @@ def regularize_ft(target: TimeSeries, params: FtRegParams,
         )
     truncated = np.where(keep, spectrum.coeffs, 0.0)
     out = idft(Spectrum(coeffs=truncated, fs_hz=spectrum.fs_hz), t0_ms=target.t0_ms)
-    h_orig = spectral_entropy(psd(target))
-    h_reg = spectral_entropy(psd(out))
+    return out, regularization_report(
+        "ft", target, out, predictor, params.entropy_tolerance,
+        {"zeta_max_hz": params.zeta_max_hz, "retained_bins": int(keep.sum())})
+
+
+def regularization_report(method: str, original: TimeSeries, regularized: TimeSeries,
+                          predictor: TimeSeries | None, tol_bits: float,
+                          detail: dict | None = None) -> RegularizationReport:
+    """The tail every engine shares: each spectral entropy (original,
+    regularized and, when given, predictor) computed once, and the entropy
+    gate built from them."""
+    h_orig = spectral_entropy(psd(original))
+    h_reg = spectral_entropy(psd(regularized))
     gate = None
     if predictor is not None:
-        gate = entropy_gate(target, out, predictor, params.entropy_tolerance)
-    report = RegularizationReport(
-        method="ft",
-        entropy_original=h_orig,
-        entropy_regularized=h_reg,
-        gate=gate,
-        detail={"zeta_max_hz": params.zeta_max_hz, "retained_bins": int(keep.sum())},
-    )
-    return out, report
+        h_pred = spectral_entropy(psd(predictor))
+        gate = EntropyGateResult(
+            passed=(h_reg <= h_pred + tol_bits) and (h_reg < h_orig),
+            entropy_original=h_orig, entropy_regularized=h_reg,
+            entropy_predictor=h_pred, tol_bits=tol_bits)
+    return RegularizationReport(method, h_orig, h_reg, gate, detail)
 
 
 def entropy_gate(original: TimeSeries, regularized: TimeSeries,
                  predictor: TimeSeries, tol_bits: float) -> EntropyGateResult:
     """Pass iff the regularized entropy is comparable to the predictor's
     (within tol_bits above it) and strictly below the original's."""
-    h_orig = spectral_entropy(psd(original))
-    h_reg = spectral_entropy(psd(regularized))
-    h_pred = spectral_entropy(psd(predictor))
-    passed = (h_reg <= h_pred + tol_bits) and (h_reg < h_orig)
-    return EntropyGateResult(passed=passed, entropy_original=h_orig,
-                             entropy_regularized=h_reg, entropy_predictor=h_pred,
-                             tol_bits=tol_bits)
+    return regularization_report("", original, regularized, predictor,
+                                 tol_bits).gate
 
 
 def default_zeta_max(predictor: TimeSeries, coverage: float = 0.99,

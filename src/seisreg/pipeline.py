@@ -10,7 +10,8 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable
 
 import numpy as np
 
@@ -41,7 +42,112 @@ def moving_average_baseline(series: TimeSeries, span: int = 9) -> TimeSeries:
 
 GOOD_FIT = {"cc_min": 0.80, "rmse_max": 0.15, "aem_max": 0.15, "si_max": 0.35}
 
-METHODS = ("none", "avg9", "ft", "wd", "emd")
+
+@dataclass(frozen=True)
+class Param:
+    """A method tunable: its RunConfig field (which declares its type and
+    default), config key and `seisreg regularize` flag.  `label` names it in
+    method_params (None: not reported), with `shown(config)` as its value
+    there when that is not the field's own."""
+
+    attr: str
+    key: str
+    flag: str
+    label: str | None = None
+    shown: Callable | None = None
+    help: str | None = None
+
+
+@dataclass(frozen=True)
+class Method:
+    """A regularization method: its tunables, `regularize(target, config,
+    predictor) -> (TimeSeries, report dict)` and `tighten(config)`, one step
+    of its fixed tightening schedule (None: nothing left to tighten)."""
+
+    name: str
+    params: tuple
+    regularize: Callable
+    tighten: Callable = lambda config: None
+
+    def describe(self, config) -> dict:
+        return {"method": self.name,
+                **{p.label: p.shown(config) if p.shown else getattr(config, p.attr)
+                   for p in self.params if p.label}}
+
+
+# The adapters reach the engines through their modules, so a wrapper set on
+# a module attribute at run time (perfbench/spans.py) sees every call.
+
+def _regularize_avg9(target, config, predictor):
+    out = moving_average_baseline(target, config.avg_span)
+    return out, {"method": "avg9", "span": config.avg_span}
+
+
+def _regularize_ft(target, config, predictor):
+    zeta = config.zeta_max_hz
+    if zeta is None:
+        zeta = ftreg.default_zeta_max(predictor)
+    out, report = ftreg.regularize_ft(
+        target, ftreg.FtRegParams(zeta_max_hz=zeta,
+                                  entropy_tolerance=config.gate_tol_bits),
+        predictor=predictor)
+    return out, report.to_dict()
+
+
+def _regularize_wd(target, config, predictor):
+    out, report = waveletreg.regularize_wd(
+        target, wavelet=config.wavelet, levels=config.wd_levels,
+        truncate_details=config.truncate_details,
+        predictor=predictor, tol_bits=config.gate_tol_bits)
+    return out, report.to_dict()
+
+
+def _regularize_emd(target, config, predictor):
+    sift = emdreg.SiftParams(sd_threshold=config.sd_threshold)
+    decomposition = emdreg.emd(target, sift)
+    p1_eff = min(config.p1, len(decomposition) - 1)
+    out, report = emdreg.regularize_emd(
+        target, sift, p1=p1_eff, predictor=predictor,
+        tol_bits=config.gate_tol_bits, decomposition=decomposition)
+    return out, report.to_dict()
+
+
+def _wd_truncation(config) -> list:
+    """The detail levels wd truncates; by default all but the coarsest."""
+    return sorted(config.truncate_details or range(1, config.wd_levels))
+
+
+def _tighten_wd(config):
+    current = set(_wd_truncation(config))
+    missing = sorted(set(range(1, config.wd_levels + 1)) - current)
+    if not missing:
+        return None
+    return replace(config, truncate_details=sorted(current | {missing[0]}))
+
+
+_GATE_TOL = Param("gate_tol_bits", "gate_tol_bits", "--gate-tol")
+
+METHODS = {m.name: m for m in (
+    Method("none", (), lambda target, config, predictor: (target, {"method": "none"})),
+    Method("avg9", (Param("avg_span", "avg_span", "--span", "span",
+                          help="window (avg9)"),), _regularize_avg9),
+    Method("ft", (Param("zeta_max_hz", "zeta_max_hz", "--zeta-max", "zeta_max_hz",
+                        help="Hz (ft)"), _GATE_TOL),
+           _regularize_ft,
+           lambda config: replace(config, zeta_max_hz=(config.zeta_max_hz or 0) * 0.8)),
+    Method("wd", (Param("wavelet", "wavelet", "--wavelet", "wavelet"),
+                  Param("wd_levels", "wd_levels", "--levels", "levels"),
+                  Param("truncate_details", "truncate", "--truncate", "truncate",
+                        _wd_truncation, help="e.g. 1,2,3,4,5 (wd)"),
+                  _GATE_TOL), _regularize_wd, _tighten_wd),
+    Method("emd", (Param("p1", "p1", "--p1", "p1", help="IMFs to suppress (emd)"),
+                   Param("sd_threshold", "sd_threshold", "--sd", "sd_threshold",
+                         help="sift threshold (emd)"), _GATE_TOL),
+           _regularize_emd, lambda config: replace(config, p1=config.p1 + 1)),
+)}
+
+# every method tunable once, by RunConfig field
+PARAMS = {p.attr: p for m in METHODS.values() for p in m.params}
 
 
 @dataclass
@@ -56,6 +162,8 @@ class WellConfig:
 
 @dataclass
 class RunConfig:
+    """Every run setting.  The field order is the key order of render_config."""
+
     vol_imp: str = ""
     vol_amp: str = ""
     vol_freq: str = ""
@@ -65,7 +173,6 @@ class RunConfig:
     zeta_max_hz: float | None = None            # None -> predictor-derived
     wavelet: str = "db4"
     wd_levels: int = 6
-    truncate_details: list | None = None        # None -> 1..levels-1
     p1: int = 1
     sd_threshold: float = 0.2
     avg_span: int = 9
@@ -83,31 +190,41 @@ class RunConfig:
     predict: bool = False
     filter_window: int = 3
     outdir: str = ""
+    truncate_details: list | None = None        # None -> 1..levels-1
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise ConfigError(f"method must be one of {tuple(METHODS)}, "
+                              f"got {self.method!r}")
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
 
 
-_CONFIG_KEYS = {
-    "vol.imp": ("vol_imp", str), "vol.amp": ("vol_amp", str),
-    "vol.freq": ("vol_freq", str),
-    "method": ("method", str), "dt_ms": ("dt_ms", float),
-    "zeta_max_hz": ("zeta_max_hz", float), "wavelet": ("wavelet", str),
-    "wd_levels": ("wd_levels", int), "p1": ("p1", int),
-    "sd_threshold": ("sd_threshold", float), "avg_span": ("avg_span", int),
-    "mi_bins": ("mi_bins", int), "split_seed": ("split_seed", int),
-    "hidden": ("hidden", int), "max_iters": ("max_iters", int),
-    "train_seed": ("train_seed", int), "sigma": ("sigma", float),
-    "lambda1": ("lambda1", float), "target_loss": ("target_loss", float),
-    "gate_tol_bits": ("gate_tol_bits", float),
-    "validation_cc_threshold": ("validation_cc_threshold", float),
-    "max_attempts": ("max_attempts", int),
-    "predict": ("predict", lambda s: s.lower() in ("1", "true", "yes")),
-    "filter_window": ("filter_window", int), "outdir": ("outdir", str),
-}
+_CONVERTERS = {str: str, int: int, float: float,
+               bool: lambda s: s.lower() in ("1", "true", "yes"),
+               list: lambda s: [int(v) for v in s.split(",") if v]}
+
+
+def _converter(f):
+    """A dataclass field's converter from text, by its type (`X | None` as X)."""
+    args = [t for t in getattr(f.type, "__args__", ()) if t is not type(None)]
+    return _CONVERTERS[args[0] if args else f.type]
+
+
+# config key -> (RunConfig field, converter), in field order
+CONFIG_KEYS = {
+    PARAMS[f.name].key if f.name in PARAMS else f.name.replace("vol_", "vol."):
+        (f.name, _converter(f))
+    for f in fields(RunConfig) if f.name != "wells"}
+# `well.<id>.<key>` keys: the WellConfig fields after well_id, minus "_path"
+_WELL_KEYS = [(f, f.name.removesuffix("_path")) for f in fields(WellConfig)[1:]]
+
+
+def _convert(key: str, conv, value: str):
+    try:
+        return conv(value)
+    except ValueError:
+        raise ConfigError(f"bad value for {key}: {value!r}")
 
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
@@ -127,32 +244,20 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
     kwargs = {}
     for key, value in raw.items():
-        if key in _CONFIG_KEYS:
-            attr, conv = _CONFIG_KEYS[key]
-            try:
-                kwargs[attr] = conv(value)
-            except ValueError:
-                raise ConfigError(f"bad value for {key}: {value!r}")
-        elif key == "truncate":
-            kwargs["truncate_details"] = [int(v) for v in value.split(",") if v]
-        elif key == "wells" or key.startswith("well."):
-            continue
-        else:
+        if key in CONFIG_KEYS:
+            attr, conv = CONFIG_KEYS[key]
+            kwargs[attr] = _convert(key, conv, value)
+        elif key != "wells" and not key.startswith("well."):
             raise ConfigError(f"unknown config key {key!r}")
 
     wells = []
     for well_id in [w.strip() for w in raw.get("wells", "").split(",") if w.strip()]:
         prefix = f"well.{well_id}."
-        las = raw.get(prefix + "las")
-        vel = raw.get(prefix + "velocity")
-        if not las or not vel:
+        given = {f.name: _convert(prefix + key, _converter(f), raw[prefix + key])
+                 for f, key in _WELL_KEYS if prefix + key in raw}
+        if not given.get("las_path") or not given.get("velocity_path"):
             raise ConfigError(f"well {well_id}: need {prefix}las and {prefix}velocity")
-        wells.append(WellConfig(
-            well_id=well_id, las_path=las, velocity_path=vel,
-            inline=int(raw[prefix + "inline"]) if prefix + "inline" in raw else None,
-            xline=int(raw[prefix + "xline"]) if prefix + "xline" in raw else None,
-            sf_curve=raw.get(prefix + "sf_curve", "SF"),
-        ))
+        wells.append(WellConfig(well_id=well_id, **given))
     kwargs["wells"] = wells
     return RunConfig(**kwargs)
 
@@ -160,23 +265,19 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 def render_config(config: RunConfig) -> str:
     """The resolved flat-file form of a config (written next to run outputs)."""
     lines = []
-    for key, (attr, _) in _CONFIG_KEYS.items():
+    for key, (attr, _) in CONFIG_KEYS.items():
         value = getattr(config, attr)
         if value is None:
             continue
+        if isinstance(value, list):
+            value = ",".join(str(i) for i in value)
         lines.append(f"{key} = {value}")
-    if config.truncate_details is not None:
-        lines.append("truncate = " + ",".join(str(i) for i in config.truncate_details))
     lines.append("wells = " + ",".join(w.well_id for w in config.wells))
     for w in config.wells:
-        lines.append(f"well.{w.well_id}.las = {w.las_path}")
-        lines.append(f"well.{w.well_id}.velocity = {w.velocity_path}")
-        if w.inline is not None:
-            lines.append(f"well.{w.well_id}.inline = {w.inline}")
-        if w.xline is not None:
-            lines.append(f"well.{w.well_id}.xline = {w.xline}")
-        if w.sf_curve != "SF":
-            lines.append(f"well.{w.well_id}.sf_curve = {w.sf_curve}")
+        for f, key in _WELL_KEYS:
+            value = getattr(w, f.name)
+            if value != f.default:
+                lines.append(f"well.{w.well_id}.{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -241,97 +342,18 @@ def prepare_well(well_cfg: WellConfig, volumes: dict, dt_ms: float) -> WellData:
     )
 
 
-@dataclass
-class MethodParams:
-    method: str
-    zeta_max_hz: float | None = None
-    wavelet: str = "db4"
-    wd_levels: int = 6
-    truncate_details: list | None = None
-    p1: int = 1
-    sd_threshold: float = 0.2
-    avg_span: int = 9
-
-    def describe(self) -> dict:
-        d = {"method": self.method}
-        if self.method == "ft":
-            d["zeta_max_hz"] = self.zeta_max_hz
-        elif self.method == "wd":
-            d.update(wavelet=self.wavelet, levels=self.wd_levels,
-                     truncate=sorted(self.truncate_details
-                                     or range(1, self.wd_levels)))
-        elif self.method == "emd":
-            d.update(p1=self.p1, sd_threshold=self.sd_threshold)
-        elif self.method == "avg9":
-            d["span"] = self.avg_span
-        return d
-
-    def tightened(self) -> "MethodParams | None":
-        """One step of the fixed tightening schedule; None when the method
-        has nothing to tighten."""
-        if self.method == "ft":
-            return MethodParams(**{**self.__dict__,
-                                   "zeta_max_hz": (self.zeta_max_hz or 0) * 0.8})
-        if self.method == "wd":
-            current = set(self.truncate_details or range(1, self.wd_levels))
-            missing = sorted(set(range(1, self.wd_levels + 1)) - current)
-            if not missing:
-                return None
-            return MethodParams(**{**self.__dict__,
-                                   "truncate_details": sorted(current | {missing[0]})})
-        if self.method == "emd":
-            return MethodParams(**{**self.__dict__, "p1": self.p1 + 1})
-        return None
-
-    @classmethod
-    def from_config(cls, config: RunConfig) -> "MethodParams":
-        return cls(method=config.method, zeta_max_hz=config.zeta_max_hz,
-                   wavelet=config.wavelet, wd_levels=config.wd_levels,
-                   truncate_details=config.truncate_details, p1=config.p1,
-                   sd_threshold=config.sd_threshold, avg_span=config.avg_span)
-
-
-def regularize_target(target: TimeSeries, params: MethodParams,
-                      predictor: TimeSeries, tol_bits: float):
-    """Dispatch one well's target through the configured method.
-
-    Returns (regularized TimeSeries, report dict)."""
-    if params.method == "none":
-        return target, {"method": "none"}
-    if params.method == "avg9":
-        out = moving_average_baseline(target, params.avg_span)
-        return out, {"method": "avg9", "span": params.avg_span}
-    if params.method == "ft":
-        zeta = params.zeta_max_hz
-        if zeta is None:
-            zeta = ftreg.default_zeta_max(predictor)
-        out, report = ftreg.regularize_ft(
-            target, ftreg.FtRegParams(zeta_max_hz=zeta, entropy_tolerance=tol_bits),
-            predictor=predictor)
-        return out, report.to_dict()
-    if params.method == "wd":
-        out, report = waveletreg.regularize_wd(
-            target, wavelet=params.wavelet, levels=params.wd_levels,
-            truncate_details=params.truncate_details,
-            predictor=predictor, tol_bits=tol_bits)
-        return out, report.to_dict()
-    if params.method == "emd":
-        sift = emdreg.SiftParams(sd_threshold=params.sd_threshold)
-        decomposition = emdreg.emd(target, sift)
-        p1_eff = min(params.p1, len(decomposition) - 1)
-        out, report = emdreg.regularize_emd(
-            target, sift, p1=p1_eff, predictor=predictor, tol_bits=tol_bits,
-            decomposition=decomposition)
-        return out, report.to_dict()
-    raise ConfigError(f"unknown method {params.method!r}")
-
-
 def _well_tables(well: WellData, scored: dict, sf_norm: TimeSeries,
-                 sf_reg: TimeSeries, bins: int) -> dict:
-    entropy = {name: metrics.series_entropy(well.series(vals))
-               for name, vals in scored.items()}
-    entropy["original_sf"] = metrics.series_entropy(sf_norm)
-    entropy["regularized_sf"] = metrics.series_entropy(sf_reg)
+                 sf_reg: TimeSeries, reg_report: dict, bins: int) -> dict:
+    # a gating engine's report already holds the entropies of both targets
+    # and of its predictor, the z-scored amplitude column
+    entropy = {row: reg_report[key] for key, row in (
+        ("entropy_original", "original_sf"),
+        ("entropy_regularized", "regularized_sf"),
+        ("entropy_predictor", "amplitude")) if key in reg_report}
+    for name, vals in {**scored, "original_sf": sf_norm.values,
+                       "regularized_sf": sf_reg.values}.items():
+        if name not in entropy:
+            entropy[name] = metrics.series_entropy(well.series(vals))
     nmi_rows = {}
     for name, vals in scored.items():
         nmi_rows[name] = {
@@ -367,57 +389,75 @@ class RunReport:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
 
 
-def _run_attempt(wells, params: MethodParams, config: RunConfig,
-                 input_stats, inputs_scored, target_stats, sf_norm_by_well,
-                 well_slices):
-    """One regularize -> split -> train -> evaluate pass."""
-    reg_by_well = {}
-    reg_reports = {}
-    tables = {}
-    for w in wells:
-        sl = well_slices[w.well_id]
-        predictor = w.series(inputs_scored[sl, 1])   # z-scored amplitude
-        sf_norm = w.series(sf_norm_by_well[w.well_id])
-        sf_reg, rep = regularize_target(sf_norm, params, predictor,
-                                        config.gate_tol_bits)
-        reg_by_well[w.well_id] = sf_reg.values
-        reg_reports[w.well_id] = rep
-        scored = {"impedance": inputs_scored[sl, 0],
-                  "amplitude": inputs_scored[sl, 1],
-                  "inst_frequency": inputs_scored[sl, 2]}
-        tables[w.well_id] = _well_tables(w, scored, sf_norm, sf_reg,
-                                         config.mi_bins)
+def pool_patterns(wells):
+    """Inputs z-scored and targets min-max mapped into the band, each pooled
+    over all wells: (inputs, input_stats, targets, target_stats)."""
+    raw_inputs = np.vstack([np.column_stack([w.imp, w.amp, w.freq])
+                            for w in wells])
+    inputs, input_stats = resample.zscore(raw_inputs)
+    targets, target_stats = resample.minmax_to_band(
+        np.concatenate([w.sf for w in wells]))
+    return inputs, input_stats, targets, target_stats
 
-    targets = np.concatenate([reg_by_well[w.well_id] for w in wells])
-    provenance = []
-    for w in wells:
-        provenance.extend((w.well_id, float(t)) for t in w.times_ms)
-    patterns = PatternSet(inputs=inputs_scored, targets=targets,
-                          provenance=provenance)
+
+def train_model(wells, config: RunConfig, inputs, input_stats, targets,
+                target_stats):
+    """Split the pooled patterns per well and train the MLP by SCG on the
+    training part.  Returns (ModelBundle, TrainHistory, DatasetSplit)."""
+    provenance = [(w.well_id, float(t)) for w in wells for t in w.times_ms]
+    patterns = PatternSet(inputs=inputs, targets=targets, provenance=provenance)
     split = resample.split_patterns(patterns, seed=config.split_seed)
-
     model = mlp.init_model(3, config.hidden, seed=config.train_seed)
     scg = mlp.ScgParams(sigma=config.sigma, lambda1=config.lambda1,
                         max_iters=config.max_iters,
                         target_loss=config.target_loss)
     trained, history = mlp.scg_train(model, split.train.inputs,
                                      split.train.targets, scg)
+    bundle = mlp.ModelBundle(model=trained, input_stats=input_stats,
+                             target_stats=target_stats, seed=config.train_seed)
+    return bundle, history, split
 
-    def eval_subset(subset: PatternSet) -> metrics.MetricsReport:
-        pred = target_stats.invert(mlp.forward_batch(trained, subset.inputs))
-        actual = target_stats.invert(subset.targets)
-        return metrics.evaluate(pred, actual)
 
-    test_report = eval_subset(split.test)
+def evaluate_subset(bundle: mlp.ModelBundle,
+                    subset: PatternSet) -> metrics.MetricsReport:
+    """The four evaluators on a pattern subset, in target units."""
+    invert = bundle.target_stats.invert
+    pred = invert(mlp.forward_batch(bundle.model, subset.inputs))
+    return metrics.evaluate(pred, invert(subset.targets))
+
+
+def _run_attempt(wells, config: RunConfig, inputs, input_stats, targets,
+                 target_stats, well_slices):
+    """One regularize -> split -> train -> evaluate pass."""
+    method = METHODS[config.method]
+    reg_targets = []
+    reg_reports = {}
+    tables = {}
+    for w in wells:
+        sl = well_slices[w.well_id]
+        scored = {"impedance": inputs[sl, 0], "amplitude": inputs[sl, 1],
+                  "inst_frequency": inputs[sl, 2]}
+        sf_norm = w.series(targets[sl])
+        sf_reg, rep = method.regularize(sf_norm, config,
+                                        w.series(scored["amplitude"]))
+        reg_targets.append(sf_reg.values)
+        reg_reports[w.well_id] = rep
+        tables[w.well_id] = _well_tables(w, scored, sf_norm, sf_reg, rep,
+                                         config.mi_bins)
+
+    bundle, history, split = train_model(wells, config, inputs, input_stats,
+                                         np.concatenate(reg_targets),
+                                         target_stats)
+    test_report = evaluate_subset(bundle, split.test)
     validation = {}
     for w in wells:
         idx = [i for i, (wid, _) in enumerate(split.validation.provenance)
                if wid == w.well_id]
-        validation[w.well_id] = eval_subset(split.validation.take(idx))
-    pooled = eval_subset(split.validation)
+        validation[w.well_id] = evaluate_subset(bundle, split.validation.take(idx))
+    pooled = evaluate_subset(bundle, split.validation)
 
     attempt = {
-        "method_params": params.describe(),
+        "method_params": method.describe(config),
         "regularization": reg_reports,
         "tables": tables,
         "train": {"iterations": history.iterations,
@@ -428,7 +468,7 @@ def _run_attempt(wells, params: MethodParams, config: RunConfig,
         "validation_pooled": pooled.to_dict(),
         "good_fit": {wid: _good_fit(r) for wid, r in validation.items()},
     }
-    return attempt, trained, split
+    return attempt, bundle, split
 
 
 def run_workflow(config: RunConfig):
@@ -441,50 +481,39 @@ def run_workflow(config: RunConfig):
     logged."""
     if not config.wells:
         raise ConfigError("no wells configured")
-    volumes = {"imp": read_svol(config.vol_imp),
-               "amp": read_svol(config.vol_amp),
-               "freq": read_svol(config.vol_freq)}
+    volumes = {name: read_svol(getattr(config, f"vol_{name}"))
+               for name in ("imp", "amp", "freq")}
     for name in ("amp", "freq"):
         if not volumes["imp"].same_geometry(volumes[name]):
             raise DataError(f"{name} volume geometry differs from imp")
 
     wells = [prepare_well(wc, volumes, config.dt_ms) for wc in config.wells]
+    inputs, input_stats, targets, target_stats = pool_patterns(wells)
+    ends = np.cumsum([len(w.sf) for w in wells])
+    well_slices = {w.well_id: slice(end - len(w.sf), end)
+                   for w, end in zip(wells, ends)}
 
-    raw_inputs = np.vstack([np.column_stack([w.imp, w.amp, w.freq])
-                            for w in wells])
-    inputs_scored, input_stats = resample.zscore(raw_inputs)
-    raw_targets = np.concatenate([w.sf for w in wells])
-    targets_norm, target_stats = resample.minmax_to_band(raw_targets)
-
-    well_slices = {}
-    sf_norm_by_well = {}
-    pos = 0
-    for w in wells:
-        well_slices[w.well_id] = slice(pos, pos + len(w.sf))
-        sf_norm_by_well[w.well_id] = targets_norm[pos:pos + len(w.sf)]
-        pos += len(w.sf)
-
-    params = MethodParams.from_config(config)
-    if params.method == "ft" and params.zeta_max_hz is None:
+    params = config
+    if config.method == "ft" and config.zeta_max_hz is None:
         # resolve the predictor-derived default once so the tightening
         # schedule and the report see one concrete number; the widest well
         # wins so no well starts over-truncated
-        params.zeta_max_hz = max(
-            ftreg.default_zeta_max(w.series(inputs_scored[well_slices[w.well_id], 1]))
+        params = replace(config, zeta_max_hz=max(
+            ftreg.default_zeta_max(w.series(inputs[well_slices[w.well_id], 1]))
             for w in wells
-        )
+        ))
     attempts = []
-    trained = split = None
+    bundle = split = None
     for attempt_no in range(config.max_attempts):
-        attempt, trained, split = _run_attempt(
-            wells, params, config, input_stats, inputs_scored, target_stats,
-            sf_norm_by_well, well_slices)
+        attempt, bundle, split = _run_attempt(
+            wells, params, inputs, input_stats, targets, target_stats,
+            well_slices)
         attempt["attempt"] = attempt_no
         attempts.append(attempt)
         pooled_cc = attempt["validation_pooled"]["cc"]
         if not math.isnan(pooled_cc) and pooled_cc >= config.validation_cc_threshold:
             break
-        tightened = params.tightened()
+        tightened = METHODS[params.method].tighten(params)
         if tightened is None:
             break
         params = tightened
@@ -495,16 +524,13 @@ def run_workflow(config: RunConfig):
     if tags(split.validation) & (tags(split.train) | tags(split.test)):
         raise DataError("validation provenance overlaps train/test")
 
-    bundle = mlp.ModelBundle(model=trained, input_stats=input_stats,
-                             target_stats=target_stats, seed=config.train_seed)
     report = RunReport(config_text=render_config(config), attempts=attempts,
                        chosen_attempt=len(attempts) - 1,
                        model=bundle.to_dict())
 
     out_volumes = None
     if config.predict:
-        predicted = volpost.predict_volume(
-            bundle, [volumes["imp"], volumes["amp"], volumes["freq"]])
+        predicted = volpost.predict_volume(bundle, list(volumes.values()))
         filtered = volpost.median_filter_3d(predicted, config.filter_window)
         out_volumes = {"sf_pred": predicted, "sf_pred_med": filtered}
 

@@ -10,6 +10,7 @@ information than the raw target until the target is regularized.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,8 @@ from scipy.ndimage import gaussian_filter1d
 from scipy.signal import hilbert
 
 from .errors import ConfigError
-from .formats.las import LasCurve, LasLog
+from .formats.las import LasCurve, LasLog, write_las
+from .formats.svol import write_svol
 from .formats.volume import SeismicVolume
 from .resample import VelocityProfile
 
@@ -289,4 +291,27 @@ def well_to_las(well: SynthWell) -> LasLog:
 def velocity_csv(vp: VelocityProfile) -> str:
     lines = ["depth_m,time_ms"]
     lines += [f"{d:.17g},{t:.17g}" for d, t in vp.knots]
+    return "\n".join(lines) + "\n"
+
+
+def write_field(field: SynthField, directory) -> None:
+    """Write a field in the on-disk formats the pipeline ingests: one
+    <name>.svol per volume, and well_<id>.las and vel_<id>.csv per well."""
+    os.makedirs(directory, exist_ok=True)
+    for name, vol in field.volumes.items():
+        write_svol(os.path.join(directory, f"{name}.svol"), vol)
+    for well in field.wells:
+        with open(os.path.join(directory, f"well_{well.well_id}.las"), "w") as fh:
+            fh.write(write_las(well_to_las(well)))
+        with open(os.path.join(directory, f"vel_{well.well_id}.csv"), "w") as fh:
+            fh.write(velocity_csv(well.velocity))
+
+
+def config_text(directory, well_ids="ABCD") -> str:
+    """`seisreg run` config lines for a field write_field wrote to `directory`."""
+    lines = [f"vol.{name} = {directory}/{name}.svol" for name in ("imp", "amp", "freq")]
+    lines.append("wells = " + ",".join(well_ids))
+    for w in well_ids:
+        lines += [f"well.{w}.las = {directory}/well_{w}.las",
+                  f"well.{w}.velocity = {directory}/vel_{w}.csv"]
     return "\n".join(lines) + "\n"

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ftreg import entropy_gate, RegularizationReport
-from .metrics import psd, spectral_entropy
+from .ftreg import regularization_report
+from .metrics import psd, spectral_entropy  # noqa: F401  only for perfbench/spans.py
 from .resample import TimeSeries
 
 
@@ -265,15 +265,7 @@ def regularize_wd(series: TimeSeries, wavelet: str = "db4", levels: int = 6,
         removed_energy += float(np.dot(d, d))
         coeffs.details[lvl - 1] = np.zeros_like(d)
     out = series.with_values(idwt(coeffs, spec))
-    h_orig = spectral_entropy(psd(series))
-    h_reg = spectral_entropy(psd(out))
-    gate = None
-    if predictor is not None:
-        gate = entropy_gate(series, out, predictor, tol_bits)
-    report = RegularizationReport(
-        method="wd", entropy_original=h_orig, entropy_regularized=h_reg, gate=gate,
-        detail={"wavelet": wavelet, "levels": levels,
-                "truncated": sorted(truncate_details),
-                "removed_energy": removed_energy},
-    )
-    return out, report
+    return out, regularization_report(
+        "wd", series, out, predictor, tol_bits,
+        {"wavelet": wavelet, "levels": levels,
+         "truncated": sorted(truncate_details), "removed_energy": removed_energy})

@@ -1,11 +1,7 @@
-import os
-
-import numpy as np
 import pytest
 
 from seisreg import pipeline, synthbench
-from seisreg.formats.las import write_las
-from seisreg.formats.svol import write_svol
+from seisreg.formats.svol import read_svol
 
 BENCH_SEED = 7
 
@@ -19,28 +15,13 @@ def bench_field():
 def bench_dir(bench_field, tmp_path_factory):
     """The benchmark written out in the on-disk formats the pipeline ingests."""
     out = tmp_path_factory.mktemp("bench")
-    for name, vol in bench_field.volumes.items():
-        write_svol(os.path.join(out, f"{name}.svol"), vol)
-    for well in bench_field.wells:
-        with open(out / f"well_{well.well_id}.las", "w") as fh:
-            fh.write(write_las(synthbench.well_to_las(well)))
-        with open(out / f"vel_{well.well_id}.csv", "w") as fh:
-            fh.write(synthbench.velocity_csv(well.velocity))
+    synthbench.write_field(bench_field, out)
     return out
 
 
 @pytest.fixture(scope="session")
 def bench_config_text(bench_dir):
-    lines = [
-        f"vol.imp = {bench_dir}/imp.svol",
-        f"vol.amp = {bench_dir}/amp.svol",
-        f"vol.freq = {bench_dir}/freq.svol",
-        "wells = A,B,C,D",
-    ]
-    for well_id in "ABCD":
-        lines.append(f"well.{well_id}.las = {bench_dir}/well_{well_id}.las")
-        lines.append(f"well.{well_id}.velocity = {bench_dir}/vel_{well_id}.csv")
-    return "\n".join(lines)
+    return synthbench.config_text(bench_dir)
 
 
 @pytest.fixture(scope="session")
@@ -58,27 +39,16 @@ def workflow_reports(bench_config_text):
 
 
 @pytest.fixture(scope="session")
-def bench_well_a(bench_field):
-    """Well A's target and attributes on the fine grid, normalization applied
-    the way the pipeline applies it (pooled over all four wells)."""
-    import seisreg.resample as rs
-    from seisreg.resample import TimeSeries
-
-    vols = bench_field.volumes
-    prepared = []
-    for well in bench_field.wells:
-        sf_ts = rs.depth_to_time(well.depths_m, well.sf, well.velocity, 0.15)
-        i = list(vols["imp"].inlines).index(well.inline)
-        j = list(vols["imp"].xlines).index(well.xline)
-        attrs = {}
-        for name in ("imp", "amp", "freq"):
-            trace = TimeSeries(vols[name].t0_ms, vols[name].dt_ms,
-                               vols[name].data[i, j])
-            attrs[name] = rs.sinc_resample(trace, sf_ts.t0_ms, 0.15, len(sf_ts))
-        prepared.append((well.well_id, sf_ts, attrs))
-    pooled = np.concatenate([sf.values for _, sf, _ in prepared])
-    _, stats = rs.minmax_to_band(pooled)
-    well_id, sf_ts, attrs = prepared[0]
-    sf_norm = TimeSeries(sf_ts.t0_ms, sf_ts.dt_ms, stats.apply(sf_ts.values))
-    return {"well_id": well_id, "sf_raw": sf_ts, "sf_norm": sf_norm,
-            "attrs": attrs, "minmax": stats}
+def bench_well_a(bench_config_text):
+    """Well A's target and attributes on the fine grid, prepared and
+    normalized by the pipeline (pooled over all four wells)."""
+    config = pipeline.parse_config(bench_config_text)
+    volumes = {name: read_svol(getattr(config, f"vol_{name}"))
+               for name in ("imp", "amp", "freq")}
+    wells = [pipeline.prepare_well(wc, volumes, config.dt_ms)
+             for wc in config.wells]
+    _, _, targets, _ = pipeline.pool_patterns(wells)
+    a = wells[0]
+    return {"well_id": a.well_id, "sf_norm": a.series(targets[:len(a.sf)]),
+            "attrs": {name: a.series(getattr(a, name))
+                      for name in ("imp", "amp", "freq")}}

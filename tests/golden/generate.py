@@ -17,43 +17,19 @@ import sys
 import tempfile
 
 from seisreg import pipeline, synthbench
-from seisreg.formats.las import write_las
-from seisreg.formats.svol import write_svol
 
 BENCH_SEED = 7
 ACCEPTANCE_OVERRIDES = {"max_iters": "1500", "max_attempts": "1"}
-
-
-def write_bench(outdir):
-    field = synthbench.generate_field(synthbench.SynthFieldParams(seed=BENCH_SEED))
-    for name, vol in field.volumes.items():
-        write_svol(os.path.join(outdir, f"{name}.svol"), vol)
-    for well in field.wells:
-        with open(os.path.join(outdir, f"well_{well.well_id}.las"), "w") as fh:
-            fh.write(write_las(synthbench.well_to_las(well)))
-        with open(os.path.join(outdir, f"vel_{well.well_id}.csv"), "w") as fh:
-            fh.write(synthbench.velocity_csv(well.velocity))
-
-
-def config_text(outdir):
-    lines = [
-        f"vol.imp = {outdir}/imp.svol",
-        f"vol.amp = {outdir}/amp.svol",
-        f"vol.freq = {outdir}/freq.svol",
-        "wells = A,B,C,D",
-    ]
-    for well_id in "ABCD":
-        lines.append(f"well.{well_id}.las = {outdir}/well_{well_id}.las")
-        lines.append(f"well.{well_id}.velocity = {outdir}/vel_{well_id}.csv")
-    return "\n".join(lines)
 
 
 def build_baseline():
     baseline = {"bench_seed": BENCH_SEED, "overrides": ACCEPTANCE_OVERRIDES,
                 "methods": {}}
     with tempfile.TemporaryDirectory() as outdir:
-        write_bench(outdir)
-        text = config_text(outdir)
+        field = synthbench.generate_field(
+            synthbench.SynthFieldParams(seed=BENCH_SEED))
+        synthbench.write_field(field, outdir)
+        text = synthbench.config_text(outdir)
         for method in pipeline.METHODS:
             config = pipeline.parse_config(
                 text, {**ACCEPTANCE_OVERRIDES, "method": method})

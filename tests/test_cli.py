@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from seisreg import cli
+from seisreg import cli, synthbench
 from seisreg.formats.svol import read_svol
 from test_formats import make_segy
 
@@ -32,6 +32,10 @@ class TestExitCodes:
     def test_missing_file_is_3(self, workdir):
         assert run("filter", "--in", workdir / "missing.svol",
                    "--out", workdir / "y.svol") == 3
+
+    def test_bad_numeric_flag_is_2(self, workdir, patterns):
+        assert run("regularize", patterns, "--method", "wd", "--truncate", "1,a",
+                   "--out", workdir / "x.csv", "--report", workdir / "x.json") == 2
 
 
 class TestConvert:
@@ -141,19 +145,8 @@ class TestEndToEnd:
     def test_run_and_report(self, workdir, bench, capsys):
         cfg = workdir / "run.cfg"
         outdir = workdir / "run_out"
-        lines = [
-            f"vol.imp = {bench}/imp.svol",
-            f"vol.amp = {bench}/amp.svol",
-            f"vol.freq = {bench}/freq.svol",
-            "wells = A,B,C,D",
-            "method = wd",
-            "max_iters = 200",
-            f"outdir = {outdir}",
-        ]
-        for well_id in "ABCD":
-            lines.append(f"well.{well_id}.las = {bench}/well_{well_id}.las")
-            lines.append(f"well.{well_id}.velocity = {bench}/vel_{well_id}.csv")
-        cfg.write_text("\n".join(lines) + "\n")
+        cfg.write_text(synthbench.config_text(bench) + "method = wd\n"
+                       f"max_iters = 200\noutdir = {outdir}\n")
         assert run("run", "--config", cfg) == 0
         capsys.readouterr()
         assert run("report", outdir / "report.json") == 0

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from seisreg import synthbench
 from seisreg.errors import ConfigError
 from seisreg.pipeline import (
-    MethodParams,
+    METHODS,
     RunConfig,
     RunReport,
     SpanTooLarge,
@@ -50,11 +51,64 @@ class TestMovingAverage:
             moving_average_baseline(TimeSeries(0.0, 1.0, np.zeros(12)), span=4)
 
 
+BENCH_RENDERED = """\
+vol.imp = /bench/imp.svol
+vol.amp = /bench/amp.svol
+vol.freq = /bench/freq.svol
+method = ft
+dt_ms = 0.15
+wavelet = db4
+wd_levels = 6
+p1 = 1
+sd_threshold = 0.2
+avg_span = 9
+mi_bins = 16
+split_seed = 7
+hidden = 10
+max_iters = 2000
+train_seed = 7
+sigma = 0.0001
+lambda1 = 0.0001
+target_loss = 0.0
+gate_tol_bits = 0.05
+validation_cc_threshold = 0.8
+max_attempts = 3
+predict = False
+filter_window = 3
+outdir =\x20
+wells = A,B,C,D
+well.A.las = /bench/well_A.las
+well.A.velocity = /bench/vel_A.csv
+well.B.las = /bench/well_B.las
+well.B.velocity = /bench/vel_B.csv
+well.C.las = /bench/well_C.las
+well.C.velocity = /bench/vel_C.csv
+well.D.las = /bench/well_D.las
+well.D.velocity = /bench/vel_D.csv
+"""
+
+
 class TestConfig:
     def test_parse_and_render_roundtrip(self, bench_config_text):
-        config = parse_config(bench_config_text, {"method": "wd"})
-        again = parse_config(render_config(config))
-        assert again == config
+        for method in METHODS:
+            config = parse_config(bench_config_text, {
+                "method": method, "zeta_max_hz": "90.5", "truncate": "1,2",
+                "p1": "2"})
+            assert (config.zeta_max_hz, config.truncate_details, config.p1) == (
+                90.5, [1, 2], 2)
+            again = parse_config(render_config(config))
+            assert again == config, method
+
+    def test_render_bench_config_exact(self):
+        config = parse_config(synthbench.config_text("/bench"))
+        assert render_config(config) == BENCH_RENDERED
+
+    @pytest.mark.parametrize("key,value", [
+        ("truncate", "1,a"), ("well.A.inline", "3.5"), ("well.A.xline", "x")])
+    def test_bad_numeric_value_is_config_error(self, key, value):
+        text = "wells = A\nwell.A.las = a.las\nwell.A.velocity = a.csv\n"
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text, {key: value})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -79,15 +133,16 @@ class TestConfig:
 
 class TestMethodParams:
     def test_tightening_schedule(self):
-        ft = MethodParams(method="ft", zeta_max_hz=100.0)
-        assert ft.tightened().zeta_max_hz == pytest.approx(80.0)
-        wd = MethodParams(method="wd", wd_levels=6, truncate_details=[1, 2, 3, 4, 5])
-        assert wd.tightened().truncate_details == [1, 2, 3, 4, 5, 6]
-        assert wd.tightened().tightened() is None
-        emd = MethodParams(method="emd", p1=1)
-        assert emd.tightened().p1 == 2
-        assert MethodParams(method="none").tightened() is None
-        assert MethodParams(method="avg9").tightened() is None
+        tightened = lambda config: METHODS[config.method].tighten(config)
+        ft = RunConfig(method="ft", zeta_max_hz=100.0)
+        assert tightened(ft).zeta_max_hz == pytest.approx(80.0)
+        wd = RunConfig(method="wd", wd_levels=6, truncate_details=[1, 2, 3, 4, 5])
+        assert tightened(wd).truncate_details == [1, 2, 3, 4, 5, 6]
+        assert tightened(tightened(wd)) is None
+        emd = RunConfig(method="emd", p1=1)
+        assert tightened(emd).p1 == 2
+        assert tightened(RunConfig(method="none")) is None
+        assert tightened(RunConfig(method="avg9")) is None
 
 
 class TestPatternsCsv:
