@@ -244,13 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freq", required=True)
     p.add_argument("--well", action="append", required=True,
                    metavar="ID:las:velocity_csv")
-    p.add_argument("--dt", type=float, default=0.15)
+    p.add_argument("--dt", type=float, default=pipeline.RunConfig.dt_ms)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_prep)
 
     p = sub.add_parser("metrics", help="entropy and NMI tables for a pattern CSV")
     p.add_argument("patterns")
-    p.add_argument("--bins", type=int, default=16)
+    p.add_argument("--bins", type=int, default=pipeline.RunConfig.mi_bins)
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=_cmd_metrics)
 
@@ -266,17 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("emd-dump", help="write each IMF and the residue as CSV")
     p.add_argument("patterns")
-    p.add_argument("--sd", type=float, default=0.2)
+    p.add_argument("--sd", type=float, default=pipeline.RunConfig.sd_threshold)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_emd_dump)
 
     p = sub.add_parser("train", help="train the MLP on a pattern CSV")
     p.add_argument("patterns")
-    p.add_argument("--hidden", type=int, default=10)
-    p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--split-seed", type=int, default=7)
-    p.add_argument("--target-loss", type=float, default=0.0)
+    p.add_argument("--hidden", type=int, default=pipeline.RunConfig.hidden)
+    p.add_argument("--max-iters", type=int, default=pipeline.RunConfig.max_iters)
+    p.add_argument("--seed", type=int, default=pipeline.RunConfig.train_seed)
+    p.add_argument("--split-seed", type=int, default=pipeline.RunConfig.split_seed)
+    p.add_argument("--target-loss", type=float,
+                   default=pipeline.RunConfig.target_loss)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", help="3-D median filter a .svol volume")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--window", type=int, default=3)
+    p.add_argument("--window", type=int, default=pipeline.RunConfig.filter_window)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_filter)
 

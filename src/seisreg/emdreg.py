@@ -70,14 +70,11 @@ def find_extrema(values):
     starts = np.concatenate([[0], change + 1])
     ends = np.concatenate([change, [len(x) - 1]])
     vals = x[starts]
-    maxima, minima = [], []
-    for r in range(1, len(starts) - 1):
-        mid = (starts[r] + ends[r]) // 2
-        if vals[r - 1] < vals[r] > vals[r + 1]:
-            maxima.append(mid)
-        elif vals[r - 1] > vals[r] < vals[r + 1]:
-            minima.append(mid)
-    return np.array(maxima, dtype=int), np.array(minima, dtype=int)
+    mid = ((starts + ends) // 2)[1:-1]
+    left, centre, right = vals[:-2], vals[1:-1], vals[2:]
+    maxima = mid[(left < centre) & (centre > right)]
+    minima = mid[(left > centre) & (centre < right)]
+    return maxima, minima
 
 
 def zero_crossings(values) -> int:

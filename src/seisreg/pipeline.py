@@ -426,9 +426,8 @@ def evaluate_subset(bundle: mlp.ModelBundle,
     return metrics.evaluate(pred, invert(subset.targets))
 
 
-def _run_attempt(wells, config: RunConfig, inputs, input_stats, targets,
-                 target_stats, well_slices):
-    """One regularize -> split -> train -> evaluate pass."""
+def _regularize_wells(wells, config: RunConfig, inputs, targets, well_slices):
+    """Regularize each well's target: (pooled targets, reports, tables)."""
     method = METHODS[config.method]
     reg_targets = []
     reg_reports = {}
@@ -444,10 +443,15 @@ def _run_attempt(wells, config: RunConfig, inputs, input_stats, targets,
         reg_reports[w.well_id] = rep
         tables[w.well_id] = _well_tables(w, scored, sf_norm, sf_reg, rep,
                                          config.mi_bins)
+    return np.concatenate(reg_targets), reg_reports, tables
 
+
+def _run_attempt(wells, config: RunConfig, inputs, input_stats, target_stats,
+                 regularized):
+    """One split -> train -> evaluate pass on regularized targets."""
+    reg_targets, reg_reports, tables = regularized
     bundle, history, split = train_model(wells, config, inputs, input_stats,
-                                         np.concatenate(reg_targets),
-                                         target_stats)
+                                         reg_targets, target_stats)
     test_report = evaluate_subset(bundle, split.test)
     validation = {}
     for w in wells:
@@ -457,7 +461,7 @@ def _run_attempt(wells, config: RunConfig, inputs, input_stats, targets,
     pooled = evaluate_subset(bundle, split.validation)
 
     attempt = {
-        "method_params": method.describe(config),
+        "method_params": METHODS[config.method].describe(config),
         "regularization": reg_reports,
         "tables": tables,
         "train": {"iterations": history.iterations,
@@ -478,7 +482,9 @@ def run_workflow(config: RunConfig):
     pooled validation CC falls below the configured threshold the
     regularization is tightened per the fixed schedule and the model
     building stage repeats, at most max_attempts times, every attempt
-    logged."""
+    logged.  A tightened setting the engine rejects ends the schedule: the
+    completed attempts stand, the last one recording why
+    (`tightening_stopped`)."""
     if not config.wells:
         raise ConfigError("no wells configured")
     volumes = {name: read_svol(getattr(config, f"vol_{name}"))
@@ -505,9 +511,16 @@ def run_workflow(config: RunConfig):
     attempts = []
     bundle = split = None
     for attempt_no in range(config.max_attempts):
+        try:
+            regularized = _regularize_wells(wells, params, inputs, targets,
+                                            well_slices)
+        except (ConfigError, DataError) as exc:
+            if not attempts:
+                raise
+            attempts[-1]["tightening_stopped"] = f"attempt {attempt_no}: {exc}"
+            break
         attempt, bundle, split = _run_attempt(
-            wells, params, inputs, input_stats, targets, target_stats,
-            well_slices)
+            wells, params, inputs, input_stats, target_stats, regularized)
         attempt["attempt"] = attempt_no
         attempts.append(attempt)
         pooled_cc = attempt["validation_pooled"]["cc"]

@@ -4,11 +4,12 @@ Both operations are per-voxel independent over immutable inputs.  The
 median is taken over the valid (unmasked, in-bounds) neighbours including
 the voxel itself; boundary and masked neighbours simply shrink the set.
 Even-cardinality sets take the lower median so results are deterministic.
+A voxel with no valid neighbour at all (inside a masked hole wider than
+the window) is itself masked; it stays masked and keeps its input value.
 """
 
-import itertools
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 from .formats.volume import SeismicVolume
@@ -16,10 +17,6 @@ from .mlp import ModelBundle
 
 
 class GeometryMismatch(DataError):
-    pass
-
-
-class EmptyNeighborhood(DataError):
     pass
 
 
@@ -57,46 +54,29 @@ def median_filter_3d(vol: SeismicVolume, window=3) -> SeismicVolume:
 
     For the full 27-point window this picks the 14th largest value;
     shrunken (boundary or masked) neighbourhoods use the lower median of
-    whatever is valid.
+    whatever is valid, and a voxel with nothing valid keeps its input value.
     """
-    if isinstance(window, int):
-        window = (window, window, window)
-    if any(w < 1 or w % 2 == 0 for w in window):
-        raise DataError(f"window edges must be odd and >= 1, got {window}")
-    half = [w // 2 for w in window]
-    data = vol.data
-    valid = vol.mask
-
-    offsets = list(itertools.product(*(range(-h, h + 1) for h in half)))
-    stack = np.full((len(offsets),) + data.shape, np.inf)
-    stack_valid = np.zeros((len(offsets),) + data.shape, dtype=bool)
-    for s, (di, dj, dk) in enumerate(offsets):
-        src = tuple(
-            slice(max(0, -d), data.shape[ax] - max(0, d))
-            for ax, d in enumerate((di, dj, dk))
-        )
-        dst = tuple(
-            slice(max(0, d), data.shape[ax] - max(0, -d))
-            for ax, d in enumerate((di, dj, dk))
-        )
-        stack[s][dst] = data[src]
-        stack_valid[s][dst] = valid[src]
-
-    counts = stack_valid.sum(axis=0)
-    if (counts == 0).any():
-        raise EmptyNeighborhood("a voxel has no valid neighbour in its window")
-    # invalid entries sort to the top; the lower median of k valid values
-    # is then at sorted index (k - 1) // 2
-    stack[~stack_valid] = np.inf
-    stack.sort(axis=0, kind="stable")
-    pick = ((counts - 1) // 2)[None, ...]
-    filtered = np.take_along_axis(stack, pick, axis=0)[0]
+    if window < 1 or window % 2 == 0:
+        raise DataError(f"window must be odd and >= 1, got {window}")
+    edges = (window,) * 3
+    valid = np.pad(vol.mask, window // 2)
+    data = np.pad(vol.data, window // 2)
+    data[~valid] = np.inf
+    counts = sliding_window_view(valid, edges).sum(axis=(3, 4, 5))
+    # one row of window**3 cells per voxel, the only copy; invalid cells
+    # sort to the top, so the lower median of k valid values sits at
+    # index (k - 1) // 2.  Ties only swap values that compare equal.
+    cells = np.empty(vol.data.shape + edges)
+    cells[...] = sliding_window_view(data, edges)
+    cells = cells.reshape(vol.data.shape + (-1,))
+    cells.sort(axis=-1)
+    picked = np.take_along_axis(cells, (counts[..., None] - 1) // 2, axis=-1)
     return SeismicVolume(
         inlines=vol.inlines.copy(),
         xlines=vol.xlines.copy(),
         t0_ms=vol.t0_ms,
         dt_ms=vol.dt_ms,
-        data=filtered,
+        data=np.where(counts > 0, picked[..., 0], vol.data),
         attribute_name=vol.attribute_name,
         mask=vol.mask.copy(),
     )

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from seisreg import cli, synthbench
+from seisreg import cli, pipeline, synthbench
 from seisreg.formats.svol import read_svol
 from test_formats import make_segy
 
@@ -36,6 +36,27 @@ class TestExitCodes:
     def test_bad_numeric_flag_is_2(self, workdir, patterns):
         assert run("regularize", patterns, "--method", "wd", "--truncate", "1,a",
                    "--out", workdir / "x.csv", "--report", workdir / "x.json") == 2
+
+
+class TestFlagDefaults:
+    def test_defaults_are_run_config_defaults(self):
+        parser = cli.build_parser()
+        cases = [
+            (["train", "p.csv", "--out", "m.json"],
+             {"hidden": "hidden", "max_iters": "max_iters", "seed": "train_seed",
+              "split_seed": "split_seed", "target_loss": "target_loss"}),
+            (["prep", "--imp", "i", "--amp", "a", "--freq", "f",
+              "--well", "A:a.las:a.csv", "--out", "p.csv"], {"dt": "dt_ms"}),
+            (["metrics", "p.csv"], {"bins": "mi_bins"}),
+            (["emd-dump", "p.csv", "--out", "d"], {"sd": "sd_threshold"}),
+            (["filter", "--in", "a.svol", "--out", "b.svol"],
+             {"window": "filter_window"}),
+        ]
+        defaults = pipeline.RunConfig()
+        for argv, flags in cases:
+            args = parser.parse_args(argv)
+            for dest, attr in flags.items():
+                assert getattr(args, dest) == getattr(defaults, attr), (argv[0], dest)
 
 
 class TestConvert:

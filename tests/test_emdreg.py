@@ -41,6 +41,32 @@ class TestFindExtrema:
         _, minima = find_extrema([1.0, 0.0, 1.0, -1.0, 2.0])
         assert minima.tolist() == [1, 3]
 
+    @pytest.mark.parametrize("n", [3, 4, 7, 50, 400])
+    def test_matches_three_point_loop(self, n):
+        def reference(x):
+            maxima, minima = [], []
+            i = 1
+            while i < len(x) - 1:
+                j = i          # x[i..j] is one plateau
+                while j + 1 < len(x) and x[j + 1] == x[i]:
+                    j += 1
+                if j == len(x) - 1:
+                    break
+                if x[i - 1] < x[i] > x[j + 1]:
+                    maxima.append((i + j) // 2)
+                elif x[i - 1] > x[i] < x[j + 1]:
+                    minima.append((i + j) // 2)
+                i = j + 1
+            return maxima, minima
+
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            # one decimal leaves many equal neighbours (plateaus)
+            x = rng.normal(0.0, 0.3, n).round(1)
+            for got, want in zip(find_extrema(x), reference(x)):
+                assert got.dtype == np.dtype(int)
+                assert got.tolist() == want
+
 
 class TestEnvelopeMean:
     def test_sinusoid_mean_near_zero(self):

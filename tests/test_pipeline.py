@@ -6,6 +6,7 @@ import pytest
 
 from seisreg import synthbench
 from seisreg.errors import ConfigError
+from seisreg.ftreg import BandTooNarrow
 from seisreg.pipeline import (
     METHODS,
     RunConfig,
@@ -188,6 +189,20 @@ class TestWorkflow:
         zetas = [a["method_params"]["zeta_max_hz"] for a in report.attempts]
         assert zetas[1] == pytest.approx(zetas[0] * 0.8)
         assert zetas[2] == pytest.approx(zetas[0] * 0.64)
+
+    def test_rejected_tightening_keeps_completed_attempts(self, bench_config_text):
+        settings = {"method": "ft", "zeta_max_hz": "5", "max_iters": "20",
+                    "validation_cc_threshold": "0.999", "max_attempts": "3"}
+        report, _, _ = run_workflow(parse_config(bench_config_text, settings))
+        # 5 Hz leaves 3 bins; the tightened 4 Hz leaves 1 and is rejected
+        assert [a["attempt"] for a in report.attempts] == [0]
+        assert report.chosen_attempt == 0
+        assert report.final["tightening_stopped"].startswith("attempt 1: ")
+        assert "need >= 3" in report.final["tightening_stopped"]
+        # a first attempt the engine rejects still fails the run
+        with pytest.raises(BandTooNarrow):
+            run_workflow(parse_config(bench_config_text,
+                                      {**settings, "zeta_max_hz": "4"}))
 
     def test_no_tightening_for_none(self, bench_config_text):
         config = parse_config(bench_config_text, {

@@ -6,7 +6,6 @@ from seisreg.formats.volume import SeismicVolume
 from seisreg.mlp import ModelBundle, forward, init_model
 from seisreg.resample import MinMaxStats, ZscoreStats
 from seisreg.volpost import (
-    EmptyNeighborhood,
     GeometryMismatch,
     heatmap_csv,
     median_filter_3d,
@@ -138,11 +137,29 @@ class TestMedianFilter3d:
         tv = lambda grid: np.abs(np.diff(grid, axis=2)).sum()
         assert tv(out.data) <= tv(data)
 
-    def test_masked_window_raises(self):
+    def test_masked_window_stays_masked(self):
         mask = np.zeros((1, 1, 1), dtype=bool)
-        vol = make_volume(np.zeros((1, 1, 1)), mask=mask)
-        with pytest.raises(EmptyNeighborhood):
-            median_filter_3d(vol, window=1)
+        vol = make_volume(np.full((1, 1, 1), 0.25), mask=mask)
+        out = median_filter_3d(vol, window=1)
+        assert not out.mask[0, 0, 0] and out.data[0, 0, 0] == 0.25
+
+    @pytest.mark.parametrize("window", [1, 3, 5])
+    def test_matches_brute_force_lower_median(self, window):
+        rng = np.random.default_rng(5)
+        shape = (7, 6, 9)
+        data = rng.uniform(0, 1, shape)
+        mask = rng.uniform(0, 1, shape) > 0.3     # scattered holes
+        mask[:, :, 2:8] = False                   # a slab wider than the window
+        out = median_filter_3d(make_volume(data, mask=mask), window=window)
+        h = window // 2
+        expected = data.copy()
+        for i, j, k in np.ndindex(shape):
+            box = tuple(slice(max(0, c - h), c + h + 1) for c in (i, j, k))
+            v = data[box][mask[box]]
+            if len(v):
+                expected[i, j, k] = sorted(v)[(len(v) - 1) // 2]
+        np.testing.assert_array_equal(out.data, expected)
+        np.testing.assert_array_equal(out.mask, mask)
 
     def test_even_window_rejected(self):
         with pytest.raises(DataError):
