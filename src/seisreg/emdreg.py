@@ -15,7 +15,6 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, DataError
-from .ftreg import regularization_report
 from .metrics import psd, spectral_entropy  # noqa: F401  only for perfbench/spans.py
 from .resample import TimeSeries
 
@@ -168,13 +167,12 @@ def emd(series: TimeSeries, params: SiftParams | None = None) -> ImfSet:
 
 
 def regularize_emd(series: TimeSeries, params: SiftParams | None = None,
-                   p1: int = 1, predictor: TimeSeries | None = None,
-                   tol_bits: float = 0.05, decomposition: ImfSet | None = None):
+                   p1: int = 1, decomposition: ImfSet | None = None):
     """Suppress the first p1 IMFs: output = input - sum(imf_1..imf_p1).
 
     At least one IMF must remain, so 1 <= p1 < count.  A precomputed
     decomposition of the same series may be passed to avoid sifting twice.
-    Returns (regularized TimeSeries, report).
+    Returns (regularized TimeSeries, detail dict).
     """
     if decomposition is None:
         decomposition = emd(series, params)
@@ -186,6 +184,4 @@ def regularize_emd(series: TimeSeries, params: SiftParams | None = None,
     out_values = series.values.copy()
     for imf in decomposition.imfs[:p1]:
         out_values -= imf.values
-    out = series.with_values(out_values)
-    return out, regularization_report("emd", series, out, predictor, tol_bits,
-                                      {"p1": p1, "imf_count": count})
+    return series.with_values(out_values), {"p1": p1, "imf_count": count}

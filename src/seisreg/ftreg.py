@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .metrics import psd, spectral_entropy
+from .metrics import psd
+from .metrics import spectral_entropy  # noqa: F401  only for perfbench/spans.py
 from .resample import TimeSeries
 
 
@@ -32,37 +33,10 @@ class Spectrum:
 @dataclass
 class FtRegParams:
     zeta_max_hz: float
-    entropy_tolerance: float = 0.05  # bits
 
     def __post_init__(self):
         if self.zeta_max_hz <= 0:
             raise ConfigError("zeta_max_hz must be positive")
-
-
-@dataclass
-class EntropyGateResult:
-    passed: bool
-    entropy_original: float
-    entropy_regularized: float
-    entropy_predictor: float | None
-    tol_bits: float
-
-
-@dataclass
-class RegularizationReport:
-    method: str
-    entropy_original: float
-    entropy_regularized: float
-    gate: EntropyGateResult | None = None
-    detail: dict | None = None
-
-    def to_dict(self):
-        d = {"method": self.method, "entropy_original": self.entropy_original,
-             "entropy_regularized": self.entropy_regularized}
-        if self.gate is not None:
-            d.update(gate_passed=self.gate.passed, gate_tol_bits=self.gate.tol_bits,
-                     entropy_predictor=self.gate.entropy_predictor)
-        return {**d, **(self.detail or {})}
 
 
 def dft(series: TimeSeries) -> Spectrum:
@@ -82,13 +56,12 @@ def idft(spectrum: Spectrum, t0_ms: float = 0.0) -> TimeSeries:
                       values=values.real)
 
 
-def regularize_ft(target: TimeSeries, params: FtRegParams,
-                  predictor: TimeSeries | None = None):
+def regularize_ft(target: TimeSeries, params: FtRegParams):
     """Zero every spectrum bin above the bandwidth parameter and rebuild.
 
     The band is closed: a bin exactly at the cutoff is retained.  Truncation
     is applied on |frequency| so conjugate pairs are zeroed together and the
-    output stays real.  Returns (regularized TimeSeries, report).
+    output stays real.  Returns (regularized TimeSeries, detail dict).
     """
     n = len(target)
     if n < 8:
@@ -108,35 +81,8 @@ def regularize_ft(target: TimeSeries, params: FtRegParams,
         )
     truncated = np.where(keep, spectrum.coeffs, 0.0)
     out = idft(Spectrum(coeffs=truncated, fs_hz=spectrum.fs_hz), t0_ms=target.t0_ms)
-    return out, regularization_report(
-        "ft", target, out, predictor, params.entropy_tolerance,
-        {"zeta_max_hz": params.zeta_max_hz, "retained_bins": int(keep.sum())})
-
-
-def regularization_report(method: str, original: TimeSeries, regularized: TimeSeries,
-                          predictor: TimeSeries | None, tol_bits: float,
-                          detail: dict | None = None) -> RegularizationReport:
-    """The tail every engine shares: each spectral entropy (original,
-    regularized and, when given, predictor) computed once, and the entropy
-    gate built from them."""
-    h_orig = spectral_entropy(psd(original))
-    h_reg = spectral_entropy(psd(regularized))
-    gate = None
-    if predictor is not None:
-        h_pred = spectral_entropy(psd(predictor))
-        gate = EntropyGateResult(
-            passed=(h_reg <= h_pred + tol_bits) and (h_reg < h_orig),
-            entropy_original=h_orig, entropy_regularized=h_reg,
-            entropy_predictor=h_pred, tol_bits=tol_bits)
-    return RegularizationReport(method, h_orig, h_reg, gate, detail)
-
-
-def entropy_gate(original: TimeSeries, regularized: TimeSeries,
-                 predictor: TimeSeries, tol_bits: float) -> EntropyGateResult:
-    """Pass iff the regularized entropy is comparable to the predictor's
-    (within tol_bits above it) and strictly below the original's."""
-    return regularization_report("", original, regularized, predictor,
-                                 tol_bits).gate
+    return out, {"zeta_max_hz": params.zeta_max_hz,
+                 "retained_bins": int(keep.sum())}
 
 
 def default_zeta_max(predictor: TimeSeries, coverage: float = 0.99,

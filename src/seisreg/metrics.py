@@ -1,4 +1,5 @@
-"""Information-theoretic diagnostics and the four performance evaluators.
+"""Information-theoretic diagnostics, the regularization entropy report,
+and the four performance evaluators.
 
 Spectral entropy is computed from the raw (unaveraged) periodogram; mutual
 information from equal-width histograms.  The scatter index is defined as
@@ -90,9 +91,17 @@ def series_entropy(series: TimeSeries) -> float:
     return spectral_entropy(psd(series))
 
 
-def _hist2d(x, y, bins):
-    joint, _, _ = np.histogram2d(x, y, bins=bins)
-    return joint / joint.sum()
+def entropy_report(original: TimeSeries, regularized: TimeSeries,
+                   predictor: TimeSeries, tol_bits: float) -> dict:
+    """The spectral entropies of a regularization (each computed once) and
+    its entropy gate: pass iff the regularized entropy is within tol_bits
+    above the predictor's and strictly below the original's."""
+    h_orig = series_entropy(original)
+    h_reg = series_entropy(regularized)
+    h_pred = series_entropy(predictor)
+    return {"entropy_original": h_orig, "entropy_regularized": h_reg,
+            "entropy_predictor": h_pred, "gate_tol_bits": tol_bits,
+            "gate_passed": (h_reg <= h_pred + tol_bits) and (h_reg < h_orig)}
 
 
 def _entropy_bits(prob: np.ndarray) -> float:
@@ -100,34 +109,32 @@ def _entropy_bits(prob: np.ndarray) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def mutual_information(x, y, bins: int = DEFAULT_MI_BINS) -> float:
-    """I(X;Y) in bits from a bins x bins equal-width histogram."""
+def _binned_entropies(x, y, bins: int):
+    """(H(X), H(Y), H(X,Y)) in bits from a bins x bins equal-width histogram."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(x) != len(y):
         raise LengthMismatch(f"series lengths differ: {len(x)} vs {len(y)}")
     if bins < 2:
         raise ConfigError("need at least 2 bins")
-    joint = _hist2d(x, y, bins)
-    hx = _entropy_bits(joint.sum(axis=1))
-    hy = _entropy_bits(joint.sum(axis=0))
-    hxy = _entropy_bits(joint.ravel())
+    joint, _, _ = np.histogram2d(x, y, bins=bins)
+    joint = joint / joint.sum()
+    return (_entropy_bits(joint.sum(axis=1)), _entropy_bits(joint.sum(axis=0)),
+            _entropy_bits(joint.ravel()))
+
+
+def mutual_information(x, y, bins: int = DEFAULT_MI_BINS) -> float:
+    """I(X;Y) in bits from a bins x bins equal-width histogram."""
+    hx, hy, hxy = _binned_entropies(x, y, bins)
     return hx + hy - hxy
 
 
 def nmi(x, y, bins: int = DEFAULT_MI_BINS) -> float:
     """Mutual information normalized by the smaller marginal entropy."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(x) != len(y):
-        raise LengthMismatch(f"series lengths differ: {len(x)} vs {len(y)}")
-    joint = _hist2d(x, y, bins)
-    hx = _entropy_bits(joint.sum(axis=1))
-    hy = _entropy_bits(joint.sum(axis=0))
+    hx, hy, hxy = _binned_entropies(x, y, bins)
     h_min = min(hx, hy)
     if h_min <= 0:
         raise DegenerateMarginal("a marginal has zero entropy; NMI undefined")
-    hxy = _entropy_bits(joint.ravel())
     return (hx + hy - hxy) / h_min
 
 

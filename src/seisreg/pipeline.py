@@ -83,33 +83,33 @@ def _regularize_avg9(target, config, predictor):
     return out, {"method": "avg9", "span": config.avg_span}
 
 
+def _gated(name, target, config, predictor, engine_result):
+    """An engine's (output, detail) as the method's (output, report dict)."""
+    out, detail = engine_result
+    return out, {"method": name, **detail, **metrics.entropy_report(
+        target, out, predictor, config.gate_tol_bits)}
+
+
 def _regularize_ft(target, config, predictor):
     zeta = config.zeta_max_hz
     if zeta is None:
         zeta = ftreg.default_zeta_max(predictor)
-    out, report = ftreg.regularize_ft(
-        target, ftreg.FtRegParams(zeta_max_hz=zeta,
-                                  entropy_tolerance=config.gate_tol_bits),
-        predictor=predictor)
-    return out, report.to_dict()
+    return _gated("ft", target, config, predictor,
+                  ftreg.regularize_ft(target, ftreg.FtRegParams(zeta)))
 
 
 def _regularize_wd(target, config, predictor):
-    out, report = waveletreg.regularize_wd(
+    return _gated("wd", target, config, predictor, waveletreg.regularize_wd(
         target, wavelet=config.wavelet, levels=config.wd_levels,
-        truncate_details=config.truncate_details,
-        predictor=predictor, tol_bits=config.gate_tol_bits)
-    return out, report.to_dict()
+        truncate_details=config.truncate_details))
 
 
 def _regularize_emd(target, config, predictor):
     sift = emdreg.SiftParams(sd_threshold=config.sd_threshold)
     decomposition = emdreg.emd(target, sift)
     p1_eff = min(config.p1, len(decomposition) - 1)
-    out, report = emdreg.regularize_emd(
-        target, sift, p1=p1_eff, predictor=predictor,
-        tol_bits=config.gate_tol_bits, decomposition=decomposition)
-    return out, report.to_dict()
+    return _gated("emd", target, config, predictor, emdreg.regularize_emd(
+        target, sift, p1=p1_eff, decomposition=decomposition))
 
 
 def _wd_truncation(config) -> list:
@@ -198,6 +198,9 @@ class RunConfig:
                               f"got {self.method!r}")
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
+        for name in ("train_seed", "split_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
 
 
 _CONVERTERS = {str: str, int: int, float: float,
@@ -251,7 +254,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
 
     wells = []
-    for well_id in [w.strip() for w in raw.get("wells", "").split(",") if w.strip()]:
+    well_ids = [w.strip() for w in raw.get("wells", "").split(",") if w.strip()]
+    if len(set(well_ids)) < len(well_ids):
+        raise ConfigError(f"wells: repeated well id in {raw['wells']!r}")
+    for well_id in well_ids:
         prefix = f"well.{well_id}."
         given = {f.name: _convert(prefix + key, _converter(f), raw[prefix + key])
                  for f, key in _WELL_KEYS if prefix + key in raw}
@@ -344,7 +350,7 @@ def prepare_well(well_cfg: WellConfig, volumes: dict, dt_ms: float) -> WellData:
 
 def _well_tables(well: WellData, scored: dict, sf_norm: TimeSeries,
                  sf_reg: TimeSeries, reg_report: dict, bins: int) -> dict:
-    # a gating engine's report already holds the entropies of both targets
+    # a gated method's report already holds the entropies of both targets
     # and of its predictor, the z-scored amplitude column
     entropy = {row: reg_report[key] for key, row in (
         ("entropy_original", "original_sf"),
@@ -407,6 +413,11 @@ def train_model(wells, config: RunConfig, inputs, input_stats, targets,
     provenance = [(w.well_id, float(t)) for w in wells for t in w.times_ms]
     patterns = PatternSet(inputs=inputs, targets=targets, provenance=provenance)
     split = resample.split_patterns(patterns, seed=config.split_seed)
+    # validation patterns must be disjoint from training/testing; checked
+    # on every split rather than trusting the splitter
+    seen = set(split.train.provenance) | set(split.test.provenance)
+    if not seen.isdisjoint(split.validation.provenance):
+        raise DataError("validation provenance overlaps train/test")
     model = mlp.init_model(3, config.hidden, seed=config.train_seed)
     scg = mlp.ScgParams(sigma=config.sigma, lambda1=config.lambda1,
                         max_iters=config.max_iters,
@@ -472,7 +483,7 @@ def _run_attempt(wells, config: RunConfig, inputs, input_stats, target_stats,
         "validation_pooled": pooled.to_dict(),
         "good_fit": {wid: _good_fit(r) for wid, r in validation.items()},
     }
-    return attempt, bundle, split
+    return attempt, bundle
 
 
 def run_workflow(config: RunConfig):
@@ -509,7 +520,7 @@ def run_workflow(config: RunConfig):
             for w in wells
         ))
     attempts = []
-    bundle = split = None
+    bundle = None
     for attempt_no in range(config.max_attempts):
         try:
             regularized = _regularize_wells(wells, params, inputs, targets,
@@ -519,7 +530,7 @@ def run_workflow(config: RunConfig):
                 raise
             attempts[-1]["tightening_stopped"] = f"attempt {attempt_no}: {exc}"
             break
-        attempt, bundle, split = _run_attempt(
+        attempt, bundle = _run_attempt(
             wells, params, inputs, input_stats, target_stats, regularized)
         attempt["attempt"] = attempt_no
         attempts.append(attempt)
@@ -530,12 +541,6 @@ def run_workflow(config: RunConfig):
         if tightened is None:
             break
         params = tightened
-
-    # validation patterns must be disjoint from training/testing; re-check
-    # at report time rather than trusting the splitter
-    tags = lambda ps: {(wid, t) for wid, t in ps.provenance}
-    if tags(split.validation) & (tags(split.train) | tags(split.test)):
-        raise DataError("validation provenance overlaps train/test")
 
     report = RunReport(config_text=render_config(config), attempts=attempts,
                        chosen_attempt=len(attempts) - 1,

@@ -51,6 +51,8 @@ class SynthFieldParams:
     well_margin_ms: float = 8.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         for name in ("n_inlines", "n_xlines", "n_samples", "layer_count",
                      "mean_thickness_samples"):
             if getattr(self, name) <= 0:

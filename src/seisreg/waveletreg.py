@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ftreg import regularization_report
 from .metrics import psd, spectral_entropy  # noqa: F401  only for perfbench/spans.py
 from .resample import TimeSeries
 
@@ -242,13 +241,12 @@ def idwt(coeffs: WaveletCoeffs, spec: WaveletSpec | str = "db4") -> np.ndarray:
 
 
 def regularize_wd(series: TimeSeries, wavelet: str = "db4", levels: int = 6,
-                  truncate_details=None, boundary_mode: str = "symmetric",
-                  predictor: TimeSeries | None = None, tol_bits: float = 0.05):
+                  truncate_details=None, boundary_mode: str = "symmetric"):
     """Zero the selected detail levels and rebuild.
 
     Default truncation set is every level but the coarsest, which keeps the
     smooth trend while dropping the fine structure the predictors cannot
-    carry.  Returns (regularized TimeSeries, report).
+    carry.  Returns (regularized TimeSeries, detail dict).
     """
     spec = WaveletSpec.named(wavelet)
     if truncate_details is None:
@@ -265,7 +263,6 @@ def regularize_wd(series: TimeSeries, wavelet: str = "db4", levels: int = 6,
         removed_energy += float(np.dot(d, d))
         coeffs.details[lvl - 1] = np.zeros_like(d)
     out = series.with_values(idwt(coeffs, spec))
-    return out, regularization_report(
-        "wd", series, out, predictor, tol_bits,
-        {"wavelet": wavelet, "levels": levels,
-         "truncated": sorted(truncate_details), "removed_energy": removed_energy})
+    return out, {"wavelet": wavelet, "levels": levels,
+                 "truncated": sorted(truncate_details),
+                 "removed_energy": removed_energy}

@@ -253,21 +253,12 @@ class TestCriterion9ParserFidelity:
 
 
 class TestCriterion10Determinism:
-    def test_run_twice_byte_identical(self, bench_dir, tmp_path):
+    def test_run_twice_byte_identical(self, bench_config_text, tmp_path):
         config_path = tmp_path / "run.cfg"
         outdir = tmp_path / "out"
-        lines = [
-            f"vol.imp = {bench_dir}/imp.svol",
-            f"vol.amp = {bench_dir}/amp.svol",
-            f"vol.freq = {bench_dir}/freq.svol",
-            "wells = A,B,C,D",
-        ]
-        for well_id in "ABCD":
-            lines.append(f"well.{well_id}.las = {bench_dir}/well_{well_id}.las")
-            lines.append(f"well.{well_id}.velocity = {bench_dir}/vel_{well_id}.csv")
-        lines += ["method = ft", "max_iters = 300", "predict = true",
-                  f"outdir = {outdir}"]
-        config_path.write_text("\n".join(lines) + "\n")
+        lines = ["method = ft", "max_iters = 300", "predict = true",
+                 f"outdir = {outdir}"]
+        config_path.write_text(bench_config_text + "\n".join(lines) + "\n")
 
         snapshot = tmp_path / "snapshot"
         for round_no in range(2):

@@ -37,6 +37,28 @@ class TestExitCodes:
         assert run("regularize", patterns, "--method", "wd", "--truncate", "1,a",
                    "--out", workdir / "x.csv", "--report", workdir / "x.json") == 2
 
+    @pytest.mark.parametrize("bins", [0, -3, 1])
+    def test_too_few_bins_is_2(self, patterns, bins):
+        assert run("metrics", patterns, "--bins", bins) == 2
+
+    @pytest.mark.parametrize("flag", ["--seed", "--split-seed"])
+    def test_negative_train_seed_is_2(self, workdir, patterns, flag):
+        assert run("train", patterns, flag, -1, "--out", workdir / "m.json") == 2
+
+    def test_negative_synth_seed_is_2(self, workdir):
+        assert run("synth", "--seed", -1, "--out", workdir / "neg") == 2
+
+    def test_negative_run_seed_is_2(self, workdir, bench):
+        cfg = workdir / "neg_seed.cfg"
+        cfg.write_text(synthbench.config_text(bench))
+        assert run("run", "--config", cfg, "--set", "train_seed=-1") == 2
+
+    def test_repeated_well_is_2(self, workdir, bench):
+        cfg = workdir / "repeated.cfg"
+        cfg.write_text(synthbench.config_text(bench).replace(
+            "wells = A,B,C,D", "wells = A,A,B"))
+        assert run("run", "--config", cfg) == 2
+
 
 class TestFlagDefaults:
     def test_defaults_are_run_config_defaults(self):
@@ -153,6 +175,21 @@ class TestEndToEnd:
                    "--out", csv_path) == 0
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("time_ms,xline_")
+
+    def test_regularize_report_keys(self, workdir, patterns):
+        gated = {"method", "entropy_original", "entropy_regularized",
+                 "entropy_predictor", "gate_tol_bits", "gate_passed"}
+        detail = {"ft": {"zeta_max_hz", "retained_bins"},
+                  "wd": {"wavelet", "levels", "truncated", "removed_energy"},
+                  "emd": {"p1", "imf_count"}}
+        for method, keys in detail.items():
+            report = workdir / f"keys_{method}.json"
+            assert run("regularize", patterns, "--method", method,
+                       "--out", workdir / f"keys_{method}.csv",
+                       "--report", report) == 0
+            with open(report) as fh:
+                for well in json.load(fh).values():
+                    assert set(well) == gated | keys, method
 
     def test_emd_dump(self, workdir, patterns):
         out = workdir / "emd"

@@ -7,7 +7,6 @@ from seisreg.ftreg import (
     FtRegParams,
     default_zeta_max,
     dft,
-    entropy_gate,
     idft,
     regularize_ft,
 )
@@ -111,32 +110,6 @@ class TestRegularizeFt:
         ts = TimeSeries(0.0, 1.0, np.sin(np.arange(64.0)))
         with pytest.raises(ConfigError):
             regularize_ft(ts, FtRegParams(600.0))
-
-
-class TestEntropyGate:
-    def test_regularized_equals_predictor_passes(self):
-        rng = np.random.default_rng(5)
-        broadband = TimeSeries(0.0, 1.0, rng.standard_normal(512))
-        narrow, _ = regularize_ft(broadband, FtRegParams(60.0))
-        result = entropy_gate(broadband, narrow, narrow, tol_bits=0.0)
-        assert result.passed
-
-    def test_unfiltered_fails_strict_decrease(self):
-        rng = np.random.default_rng(6)
-        broadband = TimeSeries(0.0, 1.0, rng.standard_normal(512))
-        result = entropy_gate(broadband, broadband, broadband, tol_bits=1.0)
-        assert not result.passed
-
-    def test_benchmark_gate_at_band_edge(self, bench_well_a):
-        # the flat-spectrum impedance attribute is the reference; zeta at its
-        # 95%-cumulative band edge brings the target's entropy alongside
-        imp = bench_well_a["attrs"]["imp"]
-        target = bench_well_a["sf_norm"]
-        zeta = default_zeta_max(imp, coverage=0.95, widen=1.0)
-        out, report = regularize_ft(target, FtRegParams(zeta, entropy_tolerance=0.05),
-                                    predictor=imp)
-        assert report.gate.passed
-        assert report.gate.entropy_regularized < report.gate.entropy_original
 
 
 class TestDefaultZetaMax:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from seisreg.ftreg import FtRegParams, default_zeta_max, regularize_ft
 from seisreg.metrics import (
     ConstantActual,
     DegenerateMarginal,
@@ -10,6 +11,7 @@ from seisreg.metrics import (
     Psd,
     TooShort,
     ZeroPower,
+    entropy_report,
     evaluate,
     mutual_information,
     nmi,
@@ -80,6 +82,32 @@ class TestSpectralEntropy:
     def test_zero_power(self):
         with pytest.raises(ZeroPower):
             spectral_entropy(Psd(np.arange(4.0), np.zeros(4)))
+
+
+class TestEntropyGate:
+    def test_regularized_equals_predictor_passes(self):
+        rng = np.random.default_rng(5)
+        broadband = TimeSeries(0.0, 1.0, rng.standard_normal(512))
+        narrow, _ = regularize_ft(broadband, FtRegParams(60.0))
+        result = entropy_report(broadband, narrow, narrow, tol_bits=0.0)
+        assert result["gate_passed"]
+
+    def test_unfiltered_fails_strict_decrease(self):
+        rng = np.random.default_rng(6)
+        broadband = TimeSeries(0.0, 1.0, rng.standard_normal(512))
+        result = entropy_report(broadband, broadband, broadband, tol_bits=1.0)
+        assert not result["gate_passed"]
+
+    def test_benchmark_gate_at_band_edge(self, bench_well_a):
+        # the flat-spectrum impedance attribute is the reference; zeta at its
+        # 95%-cumulative band edge brings the target's entropy alongside
+        imp = bench_well_a["attrs"]["imp"]
+        target = bench_well_a["sf_norm"]
+        zeta = default_zeta_max(imp, coverage=0.95, widen=1.0)
+        out, _ = regularize_ft(target, FtRegParams(zeta))
+        report = entropy_report(target, out, imp, 0.05)
+        assert report["gate_passed"]
+        assert report["entropy_regularized"] < report["entropy_original"]
 
 
 class TestMutualInformation:

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from seisreg import synthbench
-from seisreg.errors import ConfigError
+from seisreg import resample, synthbench
+from seisreg.errors import ConfigError, DataError
 from seisreg.ftreg import BandTooNarrow
 from seisreg.pipeline import (
     METHODS,
@@ -203,6 +203,30 @@ class TestWorkflow:
         with pytest.raises(BandTooNarrow):
             run_workflow(parse_config(bench_config_text,
                                       {**settings, "zeta_max_hz": "4"}))
+
+    def test_overlap_checked_on_every_attempt(self, bench_config_text,
+                                              monkeypatch):
+        split_patterns = resample.split_patterns
+        calls = []
+
+        def overlapping_once(patterns, seed):
+            split = split_patterns(patterns, seed)
+            calls.append(seed)
+            if len(calls) == 1:
+                # one training pattern also lands in validation
+                extra = split.train.take([0])
+                split.validation = resample.PatternSet(
+                    np.vstack([split.validation.inputs, extra.inputs]),
+                    np.concatenate([split.validation.targets, extra.targets]),
+                    split.validation.provenance + extra.provenance)
+            return split
+
+        monkeypatch.setattr(resample, "split_patterns", overlapping_once)
+        config = parse_config(bench_config_text, {
+            "method": "ft", "max_iters": "20",
+            "validation_cc_threshold": "0.999", "max_attempts": "2"})
+        with pytest.raises(DataError, match="overlaps"):
+            run_workflow(config)
 
     def test_no_tightening_for_none(self, bench_config_text):
         config = parse_config(bench_config_text, {
