@@ -7,6 +7,12 @@ import numpy as np
 from ..errors import DataError
 
 
+# Long spellings of the model's input keys: `seisreg synth` writes these
+# into .svol headers, and either spelling names the same attribute.
+ATTRIBUTE_LONG_NAMES = {"imp": "impedance", "amp": "amplitude",
+                        "freq": "inst_frequency"}
+
+
 class DuplicateTrace(DataError):
     pass
 

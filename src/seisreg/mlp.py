@@ -1,12 +1,20 @@
 """Single-hidden-layer perceptron (tanh hidden, logistic output) with
 analytic backprop gradients, trained by scaled conjugate gradient.
 
+Training evaluates one fused objective, `w -> (loss, gradient)`: a single
+forward pass over the pattern set yields the average error energy and,
+through backprop, its exact gradient.  The objective reads the weights as
+views of the flat vector and reuses work arrays allocated once per
+training run.
+
 The trainer follows Moller's published SCG ordering: curvature along the
 search direction is estimated from a gradient difference (the Hessian is
 never formed), an adaptive scale keeps the effective curvature positive
 definite, and a comparison parameter accepts or rejects each step — no
-line search and no user-tuned learning rate.  The only exposed knobs are
-the two small positive constants sigma and lambda1 plus termination.
+line search and no user-tuned learning rate.  Each iteration calls the
+objective twice, at the curvature probe and at the trial point; an
+accepted step keeps the trial point's gradient.  The only exposed knobs
+are the two small positive constants sigma and lambda1 plus termination.
 """
 
 import json
@@ -104,28 +112,81 @@ def loss(model: MlpModel, inputs, targets) -> float:
     return float(np.dot(err, err) / (2.0 * len(targets)))
 
 
-def gradient(model: MlpModel, inputs, targets) -> np.ndarray:
-    """Exact backprop gradient of the average error energy, flattened to
-    match MlpModel.flatten()."""
+def _patterns(model: MlpModel, inputs, targets):
+    """The pattern set as float64 arrays, checked against the model."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     targets = np.asarray(targets, dtype=np.float64)
-    n = len(targets)
-    if n == 0:
+    if len(targets) == 0:
         raise ConfigError("empty pattern set")
     if inputs.shape[1] != model.n_in:
         raise DimensionMismatch(
             f"input width {inputs.shape[1]} != n_in {model.n_in}"
         )
-    v1 = inputs @ model.w_hidden[:, :-1].T + model.w_hidden[:, -1]
-    hidden = np.tanh(v1)
-    out = logistic(hidden @ model.w_out[:-1] + model.w_out[-1])
-    err = targets - out
-    delta_out = -err * out * (1.0 - out) / n            # d(loss)/d(v2)
-    grad_out = np.concatenate([hidden.T @ delta_out, [delta_out.sum()]])
-    delta_hidden = np.outer(delta_out, model.w_out[:-1]) * (1.0 - hidden ** 2)
-    grad_hidden = np.hstack([delta_hidden.T @ inputs,
-                             delta_hidden.sum(axis=0)[:, None]])
-    return np.concatenate([grad_hidden.ravel(), grad_out])
+    return inputs, targets
+
+
+def _objective(n_in: int, n_hidden: int, inputs: np.ndarray,
+               targets: np.ndarray):
+    """Fused average error energy and its backprop gradient on one checked
+    pattern set, as a function of the flat weight vector.
+
+    The returned closure reuses its work arrays across calls and returns a
+    new gradient array each time.  Its forward pass repeats `loss`'s
+    floating-point operations in their order (`inputs @ W.T + b`, not an
+    augmented bias column), so the two losses agree bit for bit;
+    tests/test_mlp.py pins the gradient's operation order against an
+    expression-by-expression reference.
+    """
+    n = len(targets)
+    nh = n_hidden * (n_in + 1)
+    hidden = np.empty((n, n_hidden))
+    delta_hidden = np.empty((n, n_hidden))
+    out = np.empty(n)
+    err = np.empty(n)
+    delta_out = np.empty(n)
+
+    def objective(flat: np.ndarray):
+        w_hidden = flat[:nh].reshape(n_hidden, n_in + 1)
+        w_out = flat[nh:]
+        np.matmul(inputs, w_hidden[:, :-1].T, out=hidden)
+        np.add(hidden, w_hidden[:, -1], out=hidden)
+        np.tanh(hidden, out=hidden)
+        np.matmul(hidden, w_out[:-1], out=out)
+        np.add(out, w_out[-1], out=out)
+        np.negative(out, out=out)               # logistic(v) = 1 / (1 + exp(-v))
+        np.exp(out, out=out)
+        np.add(1.0, out, out=out)
+        np.divide(1.0, out, out=out)
+        np.subtract(targets, out, out=err)
+        e = float(np.dot(err, err) / (2.0 * n))
+
+        # d(loss)/d(v2) = -err * out * (1 - out) / n, left to right
+        np.negative(err, out=delta_out)
+        np.multiply(delta_out, out, out=delta_out)
+        np.subtract(1.0, out, out=err)
+        np.multiply(delta_out, err, out=delta_out)
+        np.divide(delta_out, n, out=delta_out)
+        grad = np.empty_like(flat)
+        grad[nh:-1] = hidden.T @ delta_out
+        grad[-1] = delta_out.sum()
+        np.multiply(delta_out[:, None], w_out[:-1], out=delta_hidden)
+        np.square(hidden, out=hidden)           # 1 - tanh^2
+        np.subtract(1.0, hidden, out=hidden)
+        np.multiply(delta_hidden, hidden, out=delta_hidden)
+        grad_hidden = grad[:nh].reshape(n_hidden, n_in + 1)
+        grad_hidden[:, :-1] = delta_hidden.T @ inputs
+        grad_hidden[:, -1] = delta_hidden.sum(axis=0)
+        return e, grad
+
+    return objective
+
+
+def gradient(model: MlpModel, inputs, targets) -> np.ndarray:
+    """Exact backprop gradient of the average error energy, flattened to
+    match MlpModel.flatten()."""
+    inputs, targets = _patterns(model, inputs, targets)
+    objective = _objective(model.n_in, model.n_hidden, inputs, targets)
+    return objective(model.flatten())[1]
 
 
 @dataclass
@@ -154,6 +215,11 @@ class ScgState:
     that stands in for an explicit Hessian.  `delta_raw` caches the
     gradient-difference curvature so rejected steps can re-scale it without
     recomputing second-order information.
+
+    The loss and gradient at `w` are not state: one objective call at the
+    trial point returns both, and an accepted step keeps them for the new
+    `w`.  A step costs two calls, the curvature probe and the trial point;
+    a rejected one wastes only the trial point's gradient.
     """
 
     w: np.ndarray
@@ -179,8 +245,13 @@ class TrainHistory:
     stop_reason: str = ""
 
 
-def scg_minimize(loss_fn, grad_fn, w0: np.ndarray, params: ScgParams):
+def scg_minimize(objective, w0: np.ndarray, params: ScgParams):
     """Scaled conjugate gradient on an arbitrary objective.
+
+    `objective(w)` returns `(loss, gradient)`, the gradient a new array on
+    every call.  It is called once at `w0`, then twice per iteration: at
+    the curvature probe `w + sigma_k p` (only its gradient is used) and at
+    the trial point, whose gradient an accepted step keeps.
 
     Returns (w, TrainHistory).  Raises DivergedNonFinite (history attached)
     if any scalar or iterate goes non-finite.
@@ -188,9 +259,8 @@ def scg_minimize(loss_fn, grad_fn, w0: np.ndarray, params: ScgParams):
     history = TrainHistory()
     w0 = np.asarray(w0, dtype=np.float64).copy()
     n_restart = len(w0)
-    g = grad_fn(w0)
+    e_w, g = objective(w0)
     st = ScgState(w=w0, p=-g, r=-g.copy(), lam=params.lambda1)
-    e_w = loss_fn(st.w)
 
     def check_finite(*scalars):
         if not all(math.isfinite(s) for s in scalars):
@@ -213,7 +283,7 @@ def scg_minimize(loss_fn, grad_fn, w0: np.ndarray, params: ScgParams):
             break
         if st.success:
             sigma_k = params.sigma / math.sqrt(norm_p_sq)
-            s = (grad_fn(st.w + sigma_k * st.p) - g) / sigma_k
+            s = (objective(st.w + sigma_k * st.p)[1] - g) / sigma_k
             st.delta_raw = float(st.p @ s)
         delta = st.delta_raw + (st.lam - st.lam_bar) * norm_p_sq
         if delta <= 0:  # make the effective curvature positive definite
@@ -228,7 +298,7 @@ def scg_minimize(loss_fn, grad_fn, w0: np.ndarray, params: ScgParams):
         alpha = mu / delta
         check_finite(delta, mu, alpha)
         w_try = st.w + alpha * st.p
-        e_try = loss_fn(w_try)
+        e_try, g_try = objective(w_try)
         comparison = 2.0 * delta * (e_w - e_try) / mu ** 2
         check_finite(e_try, comparison)
 
@@ -236,7 +306,7 @@ def scg_minimize(loss_fn, grad_fn, w0: np.ndarray, params: ScgParams):
         if comparison >= 0:
             st.w = w_try
             e_w = e_try
-            g = grad_fn(st.w)
+            g = g_try
             r_new = -g
             st.lam_bar = 0.0
             st.success = True
@@ -288,16 +358,9 @@ def scg_train(model: MlpModel, inputs, targets,
               params: ScgParams | None = None):
     """Train the model on a pattern set; returns (trained model, history)."""
     params = params or ScgParams()
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    targets = np.asarray(targets, dtype=np.float64)
-
-    def loss_fn(w):
-        return loss(model.with_flat(w), inputs, targets)
-
-    def grad_fn(w):
-        return gradient(model.with_flat(w), inputs, targets)
-
-    w, history = scg_minimize(loss_fn, grad_fn, model.flatten(), params)
+    inputs, targets = _patterns(model, inputs, targets)
+    objective = _objective(model.n_in, model.n_hidden, inputs, targets)
+    w, history = scg_minimize(objective, model.flatten(), params)
     return model.with_flat(w), history
 
 

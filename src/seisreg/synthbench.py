@@ -20,7 +20,7 @@ from scipy.signal import hilbert
 from .errors import ConfigError
 from .formats.las import LasCurve, LasLog, write_las
 from .formats.svol import write_svol
-from .formats.volume import SeismicVolume
+from .formats.volume import ATTRIBUTE_LONG_NAMES, SeismicVolume
 from .resample import VelocityProfile
 
 
@@ -268,9 +268,9 @@ def generate_field(params: SynthFieldParams) -> SynthField:
     return SynthField(
         params=params,
         sf=as_volume(sf_vol, "sand_fraction"),
-        impedance=as_volume(imp_vol, "impedance"),
-        amplitude=as_volume(amp_vol, "amplitude"),
-        frequency=as_volume(freq_vol, "inst_frequency"),
+        impedance=as_volume(imp_vol, ATTRIBUTE_LONG_NAMES["imp"]),
+        amplitude=as_volume(amp_vol, ATTRIBUTE_LONG_NAMES["amp"]),
+        frequency=as_volume(freq_vol, ATTRIBUTE_LONG_NAMES["freq"]),
         wells=wells,
     )
 

@@ -11,8 +11,8 @@ the window) is itself masked; it stays masked and keeps its input value.
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError
-from .formats.volume import SeismicVolume
+from .errors import ConfigError, DataError
+from .formats.volume import ATTRIBUTE_LONG_NAMES, SeismicVolume
 from .mlp import ModelBundle
 
 
@@ -23,6 +23,10 @@ class GeometryMismatch(DataError):
 def predict_volume(bundle: ModelBundle, attrs: list) -> SeismicVolume:
     """Apply the trained model voxel-wise over aligned attribute volumes.
 
+    attrs bind to the model's inputs by position, in the order of
+    `bundle.attribute_names`.  A named volume whose name is neither that
+    key nor its long name is a ConfigError; an unnamed one is taken as
+    given.
     attrs must share geometry exactly; the output mask is the AND of the
     input masks (a voxel with any attribute missing stays missing).
     """
@@ -30,6 +34,14 @@ def predict_volume(bundle: ModelBundle, attrs: list) -> SeismicVolume:
         raise GeometryMismatch(
             f"model expects {bundle.model.n_in} attribute volumes, got {len(attrs)}"
         )
+    for position, (vol, expected) in enumerate(zip(attrs, bundle.attribute_names)):
+        if vol.attribute_name not in ("", expected,
+                                      ATTRIBUTE_LONG_NAMES.get(expected)):
+            raise ConfigError(
+                f"attribute volume {position + 1} is {vol.attribute_name!r}; "
+                f"the model expects {expected!r} there "
+                f"(order {','.join(bundle.attribute_names)})"
+            )
     first = attrs[0]
     for other in attrs[1:]:
         if not first.same_geometry(other):

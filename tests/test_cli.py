@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from seisreg import cli, pipeline, synthbench
+from seisreg import cli, mlp, pipeline, synthbench
 from seisreg.formats.svol import read_svol
+from seisreg.resample import MinMaxStats, ZscoreStats
 from test_formats import make_segy
 
 
@@ -23,6 +24,19 @@ class TestExitCodes:
         # --vol needs exactly three paths
         assert run("predict", "--model", workdir / "nope.json",
                    "--vol", "a.svol", "--out", workdir / "x.svol") == 2
+
+    def test_swapped_volume_order_is_2(self, workdir, bench):
+        # the bench volumes carry their attribute names; amp before imp
+        # would feed amplitude to the impedance input
+        model = workdir / "untrained.json"
+        mlp.save_model(model, mlp.ModelBundle(
+            model=mlp.init_model(3, 2, seed=0),
+            input_stats=ZscoreStats(mean=np.zeros(3), std=np.ones(3)),
+            target_stats=MinMaxStats(data_min=0.0, data_max=1.0), seed=0))
+        vols = ",".join(str(bench / f"{n}.svol") for n in ("amp", "imp", "freq"))
+        assert run("predict", "--model", model, "--vol", vols,
+                   "--out", workdir / "swapped.svol") == 2
+        assert not (workdir / "swapped.svol").exists()
 
     def test_data_error_is_3(self, workdir):
         bad = workdir / "bad.sgy"

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from seisreg import mlp
 from seisreg.errors import ConfigError
 from seisreg.mlp import (
     DimensionMismatch,
@@ -144,15 +147,84 @@ class TestGradient:
         np.testing.assert_allclose(g2, g1, atol=1e-15)
 
 
+def reference_loss_and_gradient(model, X, d):
+    """Average error energy and its gradient as two separate passes,
+    written out operation by operation: the fused objective must keep this
+    floating-point order exactly."""
+    n = len(d)
+    hidden = np.tanh(X @ model.w_hidden[:, :-1].T + model.w_hidden[:, -1])
+    out = 1.0 / (1.0 + np.exp(-(hidden @ model.w_out[:-1] + model.w_out[-1])))
+    err = d - out
+    e = float(np.dot(err, err) / (2.0 * n))
+    delta_out = -err * out * (1.0 - out) / n
+    grad_out = np.concatenate([hidden.T @ delta_out, [delta_out.sum()]])
+    delta_hidden = np.outer(delta_out, model.w_out[:-1]) * (1.0 - hidden ** 2)
+    grad_hidden = np.hstack([delta_hidden.T @ X,
+                             delta_hidden.sum(axis=0)[:, None]])
+    return e, np.concatenate([grad_hidden.ravel(), grad_out])
+
+
+class TestObjective:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n_hidden=st.sampled_from([1, 5, 10]),
+           n_rows=st.integers(1, 700),
+           scale=st.sampled_from([0.1, 1.0, 4.0]))
+    def test_bit_identical_to_two_pass_reference(self, seed, n_hidden,
+                                                 n_rows, scale):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n_rows, 3))
+        d = rng.uniform(0.0, 1.0, n_rows)
+        model = init_model(3, n_hidden, seed=seed)
+        objective = mlp._objective(3, n_hidden, X, d)
+        grads = []
+        # the second call reuses the work arrays of the first
+        for _ in range(2):
+            w = scale * rng.standard_normal(model.weight_count)
+            e, g = objective(w)
+            e_ref, g_ref = reference_loss_and_gradient(model.with_flat(w), X, d)
+            assert e == e_ref == loss(model.with_flat(w), X, d)
+            np.testing.assert_array_equal(g, g_ref)
+            grads.append((g, g_ref))
+        # each call hands back its own gradient array
+        np.testing.assert_array_equal(*grads[0])
+
+
 class TestScg:
     def test_quadratic_surrogate(self):
         # E(w) = (w - 3)^2 has its minimum at 3; SCG needs very few steps
-        loss_fn = lambda w: float((w[0] - 3.0) ** 2)
-        grad_fn = lambda w: np.array([2.0 * (w[0] - 3.0)])
-        w, history = scg_minimize(loss_fn, grad_fn, np.array([0.0]),
+        objective = lambda w: (float((w[0] - 3.0) ** 2),
+                               np.array([2.0 * (w[0] - 3.0)]))
+        w, history = scg_minimize(objective, np.array([0.0]),
                                   ScgParams(max_iters=5))
         assert abs(w[0] - 3.0) < 1e-8
         assert history.iterations <= 5
+
+    def test_objective_calls(self):
+        # one call at w0, then a curvature probe and a trial point per step;
+        # an accepted step keeps the trial point's gradient, and a rejected
+        # one skips the next probe
+        every_step_accepted = []
+        for seed in (4, 5):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((40, 3))
+            d = rng.uniform(0.1, 0.9, 40)
+            model = init_model(3, 5, seed=seed)
+            inner = mlp._objective(3, 5, X, d)
+            calls = []
+
+            def objective(w):
+                calls.append(1)
+                return inner(w)
+
+            _, history = scg_minimize(objective, model.flatten(),
+                                      ScgParams(max_iters=300))
+            assert history.iterations == 300
+            assert len(calls) <= 1 + 2 * history.iterations
+            if all(history.accepted):
+                assert len(calls) == 1 + 2 * history.iterations
+            every_step_accepted.append(all(history.accepted))
+        assert every_step_accepted == [False, True]
 
     def test_realizable_target(self):
         rng = np.random.default_rng(3)
@@ -222,16 +294,15 @@ class TestScg:
                           "grad_tol"}
 
     def test_diverged_non_finite(self):
-        loss_fn = lambda w: float("nan")
-        grad_fn = lambda w: np.array([1.0])
+        objective = lambda w: (float("nan"), np.array([1.0]))
         with pytest.raises(DivergedNonFinite) as err:
-            scg_minimize(loss_fn, grad_fn, np.array([0.0]), ScgParams(max_iters=10))
+            scg_minimize(objective, np.array([0.0]), ScgParams(max_iters=10))
         assert err.value.history is not None
 
     def test_target_loss_stops_early(self):
-        loss_fn = lambda w: float((w[0] - 3.0) ** 2)
-        grad_fn = lambda w: np.array([2.0 * (w[0] - 3.0)])
-        _, history = scg_minimize(loss_fn, grad_fn, np.array([0.0]),
+        objective = lambda w: (float((w[0] - 3.0) ** 2),
+                               np.array([2.0 * (w[0] - 3.0)]))
+        _, history = scg_minimize(objective, np.array([0.0]),
                                   ScgParams(max_iters=100, target_loss=1e-4))
         assert history.stop_reason == "target_loss"
 

@@ -72,6 +72,14 @@ class TestPredictVolume:
         permuted = bundle.predict(flat[perm])[inverse].reshape(out.data.shape)
         np.testing.assert_array_equal(permuted, out.data)
 
+    def test_unnamed_volumes_bind_by_position(self):
+        # convert --segy leaves attribute_name empty unless --attribute is set
+        bundle = make_bundle()
+        named = self._attrs(shape=(2, 1, 3))
+        unnamed = [make_volume(v.data, name="") for v in named]
+        np.testing.assert_array_equal(predict_volume(bundle, unnamed).data,
+                                      predict_volume(bundle, named).data)
+
     def test_geometry_mismatch(self):
         attrs = self._attrs()
         attrs[1] = make_volume(np.zeros((1, 1, 4)), t0=2.0, name="amp")
