@@ -35,7 +35,7 @@ class FtRegParams:
     zeta_max_hz: float
 
     def __post_init__(self):
-        if self.zeta_max_hz <= 0:
+        if not self.zeta_max_hz > 0:  # NaN too
             raise ConfigError("zeta_max_hz must be positive")
 
 

@@ -46,70 +46,69 @@ GOOD_FIT = {"cc_min": 0.80, "rmse_max": 0.15, "aem_max": 0.15, "si_max": 0.35}
 @dataclass(frozen=True)
 class Param:
     """A method tunable: its RunConfig field (which declares its type and
-    default), config key and `seisreg regularize` flag.  `label` names it in
-    method_params (None: not reported), with `shown(config)` as its value
-    there when that is not the field's own."""
+    default), config key, `seisreg regularize` flag and the name it is
+    reported under in method_params, with `shown(config)` as its value there
+    when that is not the field's own."""
 
     attr: str
     key: str
     flag: str
-    label: str | None = None
+    label: str
     shown: Callable | None = None
     help: str | None = None
 
 
 @dataclass(frozen=True)
 class Method:
-    """A regularization method: its tunables, `regularize(target, config,
-    predictor) -> (TimeSeries, report dict)` and `tighten(config)`, one step
-    of its fixed tightening schedule (None: nothing left to tighten)."""
+    """A regularization method: its tunables, `shape(target, config,
+    predictor) -> (TimeSeries, detail dict)`, the engine call, and
+    `tighten(config)`, one step of its fixed tightening schedule (None:
+    nothing left to tighten)."""
 
     name: str
     params: tuple
-    regularize: Callable
+    shape: Callable
     tighten: Callable = lambda config: None
 
     def describe(self, config) -> dict:
         return {"method": self.name,
                 **{p.label: p.shown(config) if p.shown else getattr(config, p.attr)
-                   for p in self.params if p.label}}
+                   for p in self.params}}
+
+    def regularize(self, target, config, predictor):
+        """The shaped target and its report: the engine's detail and the
+        spectral entropies of target, output and predictor."""
+        out, detail = self.shape(target, config, predictor)
+        return out, {"method": self.name, **detail,
+                     **metrics.entropy_report(target, out, predictor)}
 
 
 # The adapters reach the engines through their modules, so a wrapper set on
 # a module attribute at run time (perfbench/spans.py) sees every call.
 
 def _regularize_avg9(target, config, predictor):
-    out = moving_average_baseline(target, config.avg_span)
-    return out, {"method": "avg9", "span": config.avg_span}
-
-
-def _gated(name, target, config, predictor, engine_result):
-    """An engine's (output, detail) as the method's (output, report dict)."""
-    out, detail = engine_result
-    return out, {"method": name, **detail, **metrics.entropy_report(
-        target, out, predictor, config.gate_tol_bits)}
+    return moving_average_baseline(target, config.avg_span), {"span": config.avg_span}
 
 
 def _regularize_ft(target, config, predictor):
     zeta = config.zeta_max_hz
     if zeta is None:
         zeta = ftreg.default_zeta_max(predictor)
-    return _gated("ft", target, config, predictor,
-                  ftreg.regularize_ft(target, ftreg.FtRegParams(zeta)))
+    return ftreg.regularize_ft(target, ftreg.FtRegParams(zeta))
 
 
 def _regularize_wd(target, config, predictor):
-    return _gated("wd", target, config, predictor, waveletreg.regularize_wd(
+    return waveletreg.regularize_wd(
         target, wavelet=config.wavelet, levels=config.wd_levels,
-        truncate_details=config.truncate_details))
+        truncate_details=config.truncate_details)
 
 
 def _regularize_emd(target, config, predictor):
     sift = emdreg.SiftParams(sd_threshold=config.sd_threshold)
     decomposition = emdreg.emd(target, sift)
     p1_eff = min(config.p1, len(decomposition) - 1)
-    return _gated("emd", target, config, predictor, emdreg.regularize_emd(
-        target, sift, p1=p1_eff, decomposition=decomposition))
+    return emdreg.regularize_emd(target, sift, p1=p1_eff,
+                                 decomposition=decomposition)
 
 
 def _wd_truncation(config) -> list:
@@ -125,24 +124,22 @@ def _tighten_wd(config):
     return replace(config, truncate_details=sorted(current | {missing[0]}))
 
 
-_GATE_TOL = Param("gate_tol_bits", "gate_tol_bits", "--gate-tol")
-
 METHODS = {m.name: m for m in (
-    Method("none", (), lambda target, config, predictor: (target, {"method": "none"})),
+    Method("none", (), lambda target, config, predictor: (target, {})),
     Method("avg9", (Param("avg_span", "avg_span", "--span", "span",
                           help="window (avg9)"),), _regularize_avg9),
     Method("ft", (Param("zeta_max_hz", "zeta_max_hz", "--zeta-max", "zeta_max_hz",
-                        help="Hz (ft)"), _GATE_TOL),
+                        help="Hz (ft)"),),
            _regularize_ft,
            lambda config: replace(config, zeta_max_hz=(config.zeta_max_hz or 0) * 0.8)),
     Method("wd", (Param("wavelet", "wavelet", "--wavelet", "wavelet"),
                   Param("wd_levels", "wd_levels", "--levels", "levels"),
                   Param("truncate_details", "truncate", "--truncate", "truncate",
-                        _wd_truncation, help="e.g. 1,2,3,4,5 (wd)"),
-                  _GATE_TOL), _regularize_wd, _tighten_wd),
+                        _wd_truncation, help="e.g. 1,2,3,4,5 (wd)")),
+           _regularize_wd, _tighten_wd),
     Method("emd", (Param("p1", "p1", "--p1", "p1", help="IMFs to suppress (emd)"),
                    Param("sd_threshold", "sd_threshold", "--sd", "sd_threshold",
-                         help="sift threshold (emd)"), _GATE_TOL),
+                         help="sift threshold (emd)")),
            _regularize_emd, lambda config: replace(config, p1=config.p1 + 1)),
 )}
 
@@ -184,7 +181,6 @@ class RunConfig:
     sigma: float = 1e-4
     lambda1: float = 1e-4
     target_loss: float = 0.0
-    gate_tol_bits: float = 0.05
     validation_cc_threshold: float = 0.80
     max_attempts: int = 3
     predict: bool = False
@@ -245,18 +241,20 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         raw[key.strip()] = value.strip()
     raw.update(overrides or {})
 
+    well_ids = [w.strip() for w in raw.get("wells", "").split(",") if w.strip()]
+    if len(set(well_ids)) < len(well_ids):
+        raise ConfigError(f"wells: repeated well id in {raw['wells']!r}")
+    well_keys = {f"well.{w}.{key}" for w in well_ids for _, key in _WELL_KEYS}
+
     kwargs = {}
     for key, value in raw.items():
         if key in CONFIG_KEYS:
             attr, conv = CONFIG_KEYS[key]
             kwargs[attr] = _convert(key, conv, value)
-        elif key != "wells" and not key.startswith("well."):
+        elif key != "wells" and key not in well_keys:
             raise ConfigError(f"unknown config key {key!r}")
 
     wells = []
-    well_ids = [w.strip() for w in raw.get("wells", "").split(",") if w.strip()]
-    if len(set(well_ids)) < len(well_ids):
-        raise ConfigError(f"wells: repeated well id in {raw['wells']!r}")
     for well_id in well_ids:
         prefix = f"well.{well_id}."
         given = {f.name: _convert(prefix + key, _converter(f), raw[prefix + key])
@@ -350,16 +348,14 @@ def prepare_well(well_cfg: WellConfig, volumes: dict, dt_ms: float) -> WellData:
 
 def _well_tables(well: WellData, scored: dict, sf_norm: TimeSeries,
                  sf_reg: TimeSeries, reg_report: dict, bins: int) -> dict:
-    # a gated method's report already holds the entropies of both targets
-    # and of its predictor, the z-scored amplitude column
+    # the report holds the entropies of both targets and of the predictor,
+    # the z-scored amplitude column
     entropy = {row: reg_report[key] for key, row in (
         ("entropy_original", "original_sf"),
         ("entropy_regularized", "regularized_sf"),
-        ("entropy_predictor", "amplitude")) if key in reg_report}
-    for name, vals in {**scored, "original_sf": sf_norm.values,
-                       "regularized_sf": sf_reg.values}.items():
-        if name not in entropy:
-            entropy[name] = metrics.series_entropy(well.series(vals))
+        ("entropy_predictor", "amplitude"))}
+    for name in ("impedance", "inst_frequency"):
+        entropy[name] = metrics.series_entropy(well.series(scored[name]))
     nmi_rows = {}
     for name, vals in scored.items():
         nmi_rows[name] = {

@@ -123,7 +123,7 @@ def depth_to_time(depths_m, values, vp: VelocityProfile, dt_out_ms: float) -> Ti
     """
     depths_m = np.asarray(depths_m, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    if dt_out_ms <= 0:
+    if not dt_out_ms > 0:  # NaN too
         raise ConfigError("dt_out_ms must be positive")
     times = vp.time_at(depths_m)
     if times[0] > times[-1]:  # logs recorded upward

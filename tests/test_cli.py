@@ -67,6 +67,19 @@ class TestExitCodes:
         cfg.write_text(synthbench.config_text(bench))
         assert run("run", "--config", cfg, "--set", "train_seed=-1") == 2
 
+    @pytest.mark.parametrize("setting", ["dt_ms=nan", "zeta_max_hz=nan"])
+    def test_nan_run_setting_is_2(self, workdir, bench, setting):
+        cfg = workdir / "nan.cfg"
+        cfg.write_text(synthbench.config_text(bench))
+        assert run("run", "--config", cfg, "--set", "method=ft",
+                   "--set", setting) == 2
+
+    def test_nan_prep_dt_is_2(self, workdir, bench):
+        assert run("prep", "--imp", bench / "imp.svol", "--amp", bench / "amp.svol",
+                   "--freq", bench / "freq.svol",
+                   "--well", f"A:{bench}/well_A.las:{bench}/vel_A.csv",
+                   "--dt", "nan", "--out", workdir / "nan.csv") == 2
+
     def test_repeated_well_is_2(self, workdir, bench):
         cfg = workdir / "repeated.cfg"
         cfg.write_text(synthbench.config_text(bench).replace(
@@ -191,9 +204,10 @@ class TestEndToEnd:
         assert header.startswith("time_ms,xline_")
 
     def test_regularize_report_keys(self, workdir, patterns):
-        gated = {"method", "entropy_original", "entropy_regularized",
-                 "entropy_predictor", "gate_tol_bits", "gate_passed"}
-        detail = {"ft": {"zeta_max_hz", "retained_bins"},
+        common = {"method", "entropy_original", "entropy_regularized",
+                  "entropy_predictor"}
+        detail = {"none": set(), "avg9": {"span"},
+                  "ft": {"zeta_max_hz", "retained_bins"},
                   "wd": {"wavelet", "levels", "truncated", "removed_energy"},
                   "emd": {"p1", "imf_count"}}
         for method, keys in detail.items():
@@ -203,7 +217,7 @@ class TestEndToEnd:
                        "--report", report) == 0
             with open(report) as fh:
                 for well in json.load(fh).values():
-                    assert set(well) == gated | keys, method
+                    assert set(well) == common | keys, method
 
     def test_emd_dump(self, workdir, patterns):
         out = workdir / "emd"

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from seisreg.errors import ConfigError, DataError
 from seisreg.ftreg import BandTooNarrow
 from seisreg.pipeline import (
     METHODS,
+    PARAMS,
     RunConfig,
     RunReport,
     SpanTooLarge,
@@ -71,7 +73,6 @@ train_seed = 7
 sigma = 0.0001
 lambda1 = 0.0001
 target_loss = 0.0
-gate_tol_bits = 0.05
 validation_cc_threshold = 0.8
 max_attempts = 3
 predict = False
@@ -112,8 +113,15 @@ class TestConfig:
             parse_config(text, {key: value})
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config("mystery = 1")
+        for text in ("mystery = 1", "gate_tol_bits = 0.05"):
+            with pytest.raises(ConfigError):
+                parse_config(text)
+
+    @pytest.mark.parametrize("key", ["well.A.inlin", "well.Z.las"])
+    def test_unknown_well_key_rejected(self, key):
+        text = "wells = A\nwell.A.las = a.las\nwell.A.velocity = a.csv\n"
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text, {key: "3"})
 
     def test_bad_method_rejected(self):
         with pytest.raises(ConfigError):
@@ -133,6 +141,22 @@ class TestConfig:
 
 
 class TestMethodParams:
+    def test_readme_key_table(self):
+        # every row of the README's per-method table is one tunable, by key,
+        # flag and the methods that take it
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        lines = readme.read_text().splitlines()
+        start = lines.index("| key | flag | method | default |") + 2
+        rows = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            rows.append(tuple(c.strip().strip("`") for c in line.split("|")[1:4]))
+        assert sorted(rows) == sorted(
+            (p.key, p.flag, ", ".join(m.name for m in METHODS.values()
+                                      if p in m.params))
+            for p in PARAMS.values())
+
     def test_tightening_schedule(self):
         tightened = lambda config: METHODS[config.method].tighten(config)
         ft = RunConfig(method="ft", zeta_max_hz=100.0)
