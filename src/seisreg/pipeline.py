@@ -197,6 +197,14 @@ class RunConfig:
         for name in ("train_seed", "split_seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
+        if not (math.isfinite(self.dt_ms) and self.dt_ms > 0):
+            raise ConfigError(f"dt_ms must be finite and > 0, got {self.dt_ms}")
+        for name in ("target_loss", "validation_cc_threshold"):
+            if math.isnan(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number, got nan")
+        if self.filter_window < 1 or self.filter_window % 2 == 0:
+            raise ConfigError(f"filter_window must be odd and >= 1, "
+                              f"got {self.filter_window}")
 
 
 _CONVERTERS = {str: str, int: int, float: float,
@@ -545,6 +553,7 @@ def run_workflow(config: RunConfig):
     out_volumes = None
     if config.predict:
         predicted = volpost.predict_volume(bundle, list(volumes.values()))
+        del volumes     # the filter runs without the three input volumes
         filtered = volpost.median_filter_3d(predicted, config.filter_window)
         out_volumes = {"sf_pred": predicted, "sf_pred_med": filtered}
 

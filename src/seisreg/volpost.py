@@ -1,11 +1,14 @@
 """Volume-wide prediction sweep and 3-D median post-filtering.
 
-Both operations are per-voxel independent over immutable inputs.  The
-median is taken over the valid (unmasked, in-bounds) neighbours including
-the voxel itself; boundary and masked neighbours simply shrink the set.
-Even-cardinality sets take the lower median so results are deterministic.
-A voxel with no valid neighbour at all (inside a masked hole wider than
-the window) is itself masked; it stays masked and keeps its input value.
+Both operations are per-voxel independent over immutable inputs, so both
+work through the volume in fixed blocks of at most `BLOCK_ROWS` voxels
+and write into one preallocated output: their working memory is set by
+the block, not by the volume.  The median is taken over the valid
+(unmasked, in-bounds) neighbours including the voxel itself; boundary and
+masked neighbours simply shrink the set.  Even-cardinality sets take the
+lower median so results are deterministic.  A voxel with no valid
+neighbour at all (inside a masked hole wider than the window) is itself
+masked; it stays masked and keeps its input value.
 """
 
 import numpy as np
@@ -14,6 +17,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, DataError
 from .formats.volume import ATTRIBUTE_LONG_NAMES, SeismicVolume
 from .mlp import ModelBundle
+
+# Voxels per block of either volume stage.  A power of two: every block but
+# the last then holds a multiple of 4 rows, and OpenBLAS rounds the output
+# layer's gemv exactly as it does in one call over the whole volume (blocks
+# of 6 or 7 rows, or whole inlines, change the last bit).
+BLOCK_ROWS = 1 << 16
 
 
 class GeometryMismatch(DataError):
@@ -29,6 +38,8 @@ def predict_volume(bundle: ModelBundle, attrs: list) -> SeismicVolume:
     given.
     attrs must share geometry exactly; the output mask is the AND of the
     input masks (a voxel with any attribute missing stays missing).
+    The model runs over blocks of `BLOCK_ROWS` flattened voxels, so its
+    activations never span the whole volume.
     """
     if len(attrs) != bundle.model.n_in:
         raise GeometryMismatch(
@@ -47,8 +58,15 @@ def predict_volume(bundle: ModelBundle, attrs: list) -> SeismicVolume:
         if not first.same_geometry(other):
             raise GeometryMismatch("attribute volumes do not share geometry")
     mask = np.logical_and.reduce([v.mask for v in attrs])
-    flat_inputs = np.stack([v.data.ravel() for v in attrs], axis=1)
-    predictions = bundle.predict(flat_inputs).reshape(first.data.shape)
+    columns = [v.data.reshape(-1) for v in attrs]
+    predictions = np.empty(first.data.shape)
+    flat = predictions.reshape(-1)
+    # a lone last row would go through numpy's dot, not the gemv of every
+    # other row, so the last block takes it on
+    edges = [*range(0, max(flat.size - 1, 1), BLOCK_ROWS), flat.size]
+    for start, stop in zip(edges, edges[1:]):
+        flat[start:stop] = bundle.predict(
+            np.stack([c[start:stop] for c in columns], axis=1))
     predictions[~mask] = 0.0
     return SeismicVolume(
         inlines=first.inlines.copy(),
@@ -67,6 +85,8 @@ def median_filter_3d(vol: SeismicVolume, window=3) -> SeismicVolume:
     For the full 27-point window this picks the 14th largest value;
     shrunken (boundary or masked) neighbourhoods use the lower median of
     whatever is valid, and a voxel with nothing valid keeps its input value.
+    The window cells are sorted one slab of inlines at a time, each slab at
+    most `BLOCK_ROWS` voxels (or one inline, if an inline is larger).
     """
     if window < 1 or window % 2 == 0:
         raise DataError(f"window must be odd and >= 1, got {window}")
@@ -74,21 +94,36 @@ def median_filter_3d(vol: SeismicVolume, window=3) -> SeismicVolume:
     valid = np.pad(vol.mask, window // 2)
     data = np.pad(vol.data, window // 2)
     data[~valid] = np.inf
-    counts = sliding_window_view(valid, edges).sum(axis=(3, 4, 5))
-    # one row of window**3 cells per voxel, the only copy; invalid cells
-    # sort to the top, so the lower median of k valid values sits at
-    # index (k - 1) // 2.  Ties only swap values that compare equal.
-    cells = np.empty(vol.data.shape + edges)
-    cells[...] = sliding_window_view(data, edges)
-    cells = cells.reshape(vol.data.shape + (-1,))
-    cells.sort(axis=-1)
-    picked = np.take_along_axis(cells, (counts[..., None] - 1) // 2, axis=-1)
+    # valid neighbours per voxel, by one shifted sum per axis; the narrowest
+    # signed type that holds window**3 keeps count - 1 = -1 representable
+    counts = valid.astype(np.min_scalar_type(-window ** 3))
+    for axis in range(3):
+        n = counts.shape[axis] - window + 1
+        counts = sum(counts[(slice(None),) * axis + (slice(s, s + n),)]
+                     for s in range(window))
+    out = vol.data.copy()
+    n_inlines, n_xlines, n_samples = vol.data.shape
+    step = min(n_inlines, max(1, BLOCK_ROWS // (n_xlines * n_samples)))
+    # one row of window**3 cells per voxel of a slab, one buffer for every
+    # slab; invalid cells sort to the top, so the lower median of k valid
+    # values sits at index (k - 1) // 2.  Ties only swap values that
+    # compare equal.
+    buffer = np.empty((step, n_xlines, n_samples) + edges)
+    for i in range(0, n_inlines, step):
+        windows = sliding_window_view(data[i:i + step + window - 1], edges)
+        cells = buffer[:len(windows)]
+        cells[...] = windows
+        cells = cells.reshape(windows.shape[:3] + (-1,))
+        cells.sort(axis=-1)
+        k = counts[i:i + step]
+        picked = np.take_along_axis(cells, (k[..., None] - 1) // 2, axis=-1)
+        np.copyto(out[i:i + step], picked[..., 0], where=k > 0)
     return SeismicVolume(
         inlines=vol.inlines.copy(),
         xlines=vol.xlines.copy(),
         t0_ms=vol.t0_ms,
         dt_ms=vol.dt_ms,
-        data=np.where(counts > 0, picked[..., 0], vol.data),
+        data=out,
         attribute_name=vol.attribute_name,
         mask=vol.mask.copy(),
     )

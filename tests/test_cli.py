@@ -74,6 +74,18 @@ class TestExitCodes:
         assert run("run", "--config", cfg, "--set", "method=ft",
                    "--set", setting) == 2
 
+    @pytest.mark.parametrize("setting", [
+        "filter_window=2", "filter_window=0", "filter_window=-1",
+        "target_loss=nan", "validation_cc_threshold=nan",
+        "dt_ms=inf", "dt_ms=-inf"])
+    def test_bad_run_setting_is_2_before_reading_inputs(self, workdir, setting):
+        # the inputs do not exist: reading any of them would exit 3
+        missing = workdir / "missing"
+        cfg = workdir / "bad_setting.cfg"
+        cfg.write_text(synthbench.config_text(missing))
+        assert run("run", "--config", cfg, "--set", "predict=true",
+                   "--set", setting) == 2
+
     def test_nan_prep_dt_is_2(self, workdir, bench):
         assert run("prep", "--imp", bench / "imp.svol", "--amp", bench / "amp.svol",
                    "--freq", bench / "freq.svol",

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from seisreg import volpost
 from seisreg.errors import DataError
 from seisreg.formats.volume import SeismicVolume
 from seisreg.mlp import ModelBundle, forward, init_model
@@ -22,9 +25,9 @@ def make_volume(data, mask=None, t0=0.0, dt=2.0, name="sf"):
     )
 
 
-def make_bundle(seed=0):
+def make_bundle(seed=0, hidden=4):
     return ModelBundle(
-        model=init_model(3, 4, seed=seed),
+        model=init_model(3, hidden, seed=seed),
         input_stats=ZscoreStats(mean=np.array([1.0, 0.0, 30.0]),
                                 std=np.array([2.0, 1.0, 10.0])),
         target_stats=MinMaxStats(data_min=0.0, data_max=1.0),
@@ -179,6 +182,79 @@ class TestMedianFilter3d:
         out = median_filter_3d(make_volume(cube))
         corner = sorted(cube[:2, :2, :2].ravel())
         assert out.data[0, 0, 0] == corner[(len(corner) - 1) // 2]
+
+
+def brute_force_lower_median(data, mask, window):
+    h = window // 2
+    expected = data.copy()
+    for i, j, k in np.ndindex(data.shape):
+        box = tuple(slice(max(0, c - h), c + h + 1) for c in (i, j, k))
+        v = data[box][mask[box]]
+        if len(v):
+            expected[i, j, k] = sorted(v)[(len(v) - 1) // 2]
+    return expected
+
+
+class TestBlocks:
+    """Both volume stages work in blocks of volpost.BLOCK_ROWS voxels; no
+    block seam may change a bit of the output."""
+
+    @pytest.mark.parametrize("block_rows", [8, 64])
+    @pytest.mark.parametrize("shape", [(5, 7, 13), (11, 1, 11), (9, 11, 9),
+                                       (5, 1, 13)])
+    def test_predict_matches_one_block(self, monkeypatch, shape, block_rows):
+        # a wrong seam moves the last bit of a voxel in some draws only,
+        # so try several; 5x1x13 leaves one row after the last full block
+        bundle = make_bundle(seed=3, hidden=10)
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            mask = rng.uniform(0, 1, shape) > 0.2
+            attrs = [make_volume(rng.uniform(-1, 3, shape), mask=mask, name=n)
+                     for n in ("imp", "amp", "freq")]
+            # the one-call sweep over every voxel
+            flat = np.stack([v.data.ravel() for v in attrs], axis=1)
+            whole = np.where(mask, bundle.predict(flat).reshape(shape), 0.0)
+            monkeypatch.setattr(volpost, "BLOCK_ROWS", block_rows)
+            blocked = predict_volume(bundle, attrs)
+            np.testing.assert_array_equal(blocked.data, whole)
+            np.testing.assert_array_equal(blocked.mask, mask)
+
+    @pytest.mark.parametrize("window", [1, 3, 5])
+    @pytest.mark.parametrize("block_rows", [8, 64])
+    @pytest.mark.parametrize("shape", [(5, 7, 13), (11, 1, 11), (9, 11, 9)])
+    def test_median_matches_one_block_and_brute_force(self, monkeypatch, shape,
+                                                      block_rows, window):
+        rng = np.random.default_rng(sum(shape))
+        data = rng.uniform(0, 1, shape)
+        mask = rng.uniform(0, 1, shape) > 0.3
+        vol = make_volume(data, mask=mask)
+        monkeypatch.setattr(volpost, "BLOCK_ROWS", 1 << 30)
+        whole = median_filter_3d(vol, window=window)
+        monkeypatch.setattr(volpost, "BLOCK_ROWS", block_rows)
+        blocked = median_filter_3d(vol, window=window)
+        np.testing.assert_array_equal(blocked.data, whole.data)
+        np.testing.assert_array_equal(
+            blocked.data, brute_force_lower_median(data, mask, window))
+
+    @pytest.mark.parametrize("stage", ["predict", "median"])
+    def test_peak_memory_is_a_few_volumes(self, stage):
+        # in one pass over the whole volume the hidden activations
+        # (predict) or the 27 window cells (median) alone take 26-32 times
+        # the volume's bytes
+        rng = np.random.default_rng(8)
+        shape = (64, 64, 128)
+        attrs = [make_volume(rng.uniform(0, 2, shape), name=n)
+                 for n in ("imp", "amp", "freq")]
+        bundle = make_bundle(hidden=10)
+        call = {"predict": lambda: predict_volume(bundle, attrs),
+                "median": lambda: median_filter_3d(attrs[0], window=3)}[stage]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * attrs[0].data.nbytes
 
 
 class TestHeatmapCsv:
