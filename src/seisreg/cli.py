@@ -203,12 +203,17 @@ def _cmd_run(args):
 
 def _cmd_report(args):
     with open(args.report) as fh:
-        data = json.load(fh)
-    report = pipeline.RunReport(config_text=data.get("config", ""),
-                                attempts=data["attempts"],
-                                chosen_attempt=data["chosen_attempt"],
-                                model=data.get("model"))
-    sys.stdout.write(pipeline.report_tables(report, fmt=args.format))
+        try:
+            data = json.load(fh)
+            report = pipeline.RunReport(config_text=data.get("config", ""),
+                                        attempts=data["attempts"],
+                                        chosen_attempt=data["chosen_attempt"],
+                                        model=data.get("model"))
+            text = pipeline.report_tables(report, fmt=args.format)
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise DataError(f"{args.report}: not a run report "
+                            f"({type(exc).__name__}: {exc})") from None
+    sys.stdout.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -105,13 +105,9 @@ def _mirrored_spline(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     return spline(np.arange(n))
 
 
-def envelope_mean(series):
-    """Mean of the upper and lower cubic-spline envelopes on the sample grid.
-
-    Accepts a TimeSeries or a bare array and returns the same kind.
-    """
-    is_ts = isinstance(series, TimeSeries)
-    x = series.values if is_ts else np.asarray(series, dtype=np.float64)
+def envelope_mean(x: np.ndarray) -> np.ndarray:
+    """Mean of the upper and lower cubic-spline envelopes of a sample array,
+    on its own grid."""
     maxima, minima = find_extrema(x)
     if len(maxima) < 2 or len(minima) < 2:
         raise TooFewExtrema(
@@ -119,8 +115,7 @@ def envelope_mean(series):
         )
     e_max = _mirrored_spline(maxima, x[maxima], len(x))
     e_min = _mirrored_spline(minima, x[minima], len(x))
-    mean = (e_max + e_min) / 2.0
-    return series.with_values(mean) if is_ts else mean
+    return (e_max + e_min) / 2.0
 
 
 def _is_imf(x: np.ndarray) -> bool:
@@ -166,16 +161,13 @@ def emd(series: TimeSeries, params: SiftParams | None = None) -> ImfSet:
     return ImfSet(imfs=imfs, residue=series.with_values(residue))
 
 
-def regularize_emd(series: TimeSeries, params: SiftParams | None = None,
-                   p1: int = 1, decomposition: ImfSet | None = None):
-    """Suppress the first p1 IMFs: output = input - sum(imf_1..imf_p1).
+def regularize_emd(series: TimeSeries, decomposition: ImfSet, p1: int):
+    """Suppress the first p1 IMFs of `decomposition`, the caller's emd() of
+    `series`: output = input - sum(imf_1..imf_p1).
 
-    At least one IMF must remain, so 1 <= p1 < count.  A precomputed
-    decomposition of the same series may be passed to avoid sifting twice.
-    Returns (regularized TimeSeries, detail dict).
+    At least one IMF must remain, so 1 <= p1 < count.  Returns
+    (regularized TimeSeries, detail dict).
     """
-    if decomposition is None:
-        decomposition = emd(series, params)
     count = len(decomposition)
     if count == 0:
         raise P1OutOfRange("input has no IMFs; nothing to suppress")

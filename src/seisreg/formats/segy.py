@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 from .ibmfloat import ibm_to_ieee_array
 
 TEXTUAL_HEADER_LEN = 3200
@@ -69,6 +69,13 @@ class TraceLayout:
 
     inline_byte_offset: int = DEFAULT_INLINE_BYTE
     xline_byte_offset: int = DEFAULT_XLINE_BYTE
+
+    def __post_init__(self):
+        last = TRACE_HEADER_LEN - 3     # an int32 field must fit in the header
+        for name in ("inline_byte_offset", "xline_byte_offset"):
+            if not 1 <= getattr(self, name) <= last:
+                raise ConfigError(f"{name} must be in 1..{last}, "
+                                  f"got {getattr(self, name)}")
 
 
 def parse_segy(data: bytes, layout: TraceLayout | None = None) -> SegyVolumeRaw:

@@ -51,7 +51,10 @@ def decode_svol(data: bytes) -> SeismicVolume:
     expected = off + name_len + 4 * (n_il + n_xl) + n_il * n_xl * ns * (1 + 8)
     if len(data) != expected:
         raise BadVolumeFile(f"file is {len(data)} bytes, expected {expected}")
-    name = data[off:off + name_len].decode("utf-8")
+    try:
+        name = data[off:off + name_len].decode("utf-8")
+    except UnicodeDecodeError:
+        raise BadVolumeFile("attribute name is not valid UTF-8") from None
     off += name_len
     inlines = np.frombuffer(data, dtype="<i4", count=n_il, offset=off)
     off += 4 * n_il

@@ -207,32 +207,6 @@ class ScgParams:
 
 
 @dataclass
-class ScgState:
-    """Persistent state of one SCG iteration.
-
-    `p` is the conjugate search direction and `r` the steepest-descent
-    direction (the negated gradient); `lam`/`lam_bar` are the scale pair
-    that stands in for an explicit Hessian.  `delta_raw` caches the
-    gradient-difference curvature so rejected steps can re-scale it without
-    recomputing second-order information.
-
-    The loss and gradient at `w` are not state: one objective call at the
-    trial point returns both, and an accepted step keeps them for the new
-    `w`.  A step costs two calls, the curvature probe and the trial point;
-    a rejected one wastes only the trial point's gradient.
-    """
-
-    w: np.ndarray
-    p: np.ndarray
-    r: np.ndarray
-    lam: float
-    lam_bar: float = 0.0
-    success: bool = True
-    k: int = 1
-    delta_raw: float = 0.0
-
-
-@dataclass
 class TrainHistory:
     loss: list = field(default_factory=list)
     lambda_: list = field(default_factory=list)
@@ -251,16 +225,25 @@ def scg_minimize(objective, w0: np.ndarray, params: ScgParams):
     `objective(w)` returns `(loss, gradient)`, the gradient a new array on
     every call.  It is called once at `w0`, then twice per iteration: at
     the curvature probe `w + sigma_k p` (only its gradient is used) and at
-    the trial point, whose gradient an accepted step keeps.
+    the trial point, whose loss and gradient an accepted step keeps for the
+    new `w`; a rejected step wastes only the trial point's gradient.
 
     Returns (w, TrainHistory).  Raises DivergedNonFinite (history attached)
     if any scalar or iterate goes non-finite.
     """
     history = TrainHistory()
-    w0 = np.asarray(w0, dtype=np.float64).copy()
-    n_restart = len(w0)
-    e_w, g = objective(w0)
-    st = ScgState(w=w0, p=-g, r=-g.copy(), lam=params.lambda1)
+    w = np.asarray(w0, dtype=np.float64).copy()
+    n_restart = len(w)
+    e_w, g = objective(w)
+    # `p` is the conjugate search direction and `r` the steepest-descent
+    # direction (the negated gradient); `lam`/`lam_bar` are the scale pair
+    # that stands in for an explicit Hessian; `delta_raw` caches the
+    # gradient-difference curvature so a rejected step (`success` false)
+    # re-scales it without probing again.
+    p = r = -g      # no step updates an array in place, so these may alias
+    lam, lam_bar = params.lambda1, 0.0
+    success = True
+    delta_raw = 0.0
 
     def check_finite(*scalars):
         if not all(math.isfinite(s) for s in scalars):
@@ -270,88 +253,82 @@ def scg_minimize(objective, w0: np.ndarray, params: ScgParams):
     if params.max_iters == 0:
         history.final_loss = e_w
         history.stop_reason = "max_iters"
-        return st.w, history
-    if float(np.linalg.norm(st.r)) < params.grad_tol:
+        return w, history
+    if float(np.linalg.norm(r)) < params.grad_tol:
         history.final_loss = e_w
         history.stop_reason = "gradient_zero"
-        return st.w, history
+        return w, history
 
+    k = 1
     while True:
-        norm_p_sq = float(st.p @ st.p)
+        norm_p_sq = float(p @ p)
         if norm_p_sq == 0.0:
             history.stop_reason = "zero_direction"
             break
-        if st.success:
+        if success:
             sigma_k = params.sigma / math.sqrt(norm_p_sq)
-            s = (objective(st.w + sigma_k * st.p)[1] - g) / sigma_k
-            st.delta_raw = float(st.p @ s)
-        delta = st.delta_raw + (st.lam - st.lam_bar) * norm_p_sq
+            s = (objective(w + sigma_k * p)[1] - g) / sigma_k
+            delta_raw = float(p @ s)
+        delta = delta_raw + (lam - lam_bar) * norm_p_sq
         if delta <= 0:  # make the effective curvature positive definite
-            st.lam_bar = 2.0 * (st.lam - delta / norm_p_sq)
-            delta = -delta + st.lam * norm_p_sq
-            st.lam = st.lam_bar
-        mu = float(st.p @ st.r)
+            lam_bar = 2.0 * (lam - delta / norm_p_sq)
+            delta = -delta + lam * norm_p_sq
+            lam = lam_bar
+        mu = float(p @ r)
         if mu == 0.0:
-            st.p = st.r.copy()  # degenerate direction; restart along the gradient
-            st.success = True
+            p = r  # degenerate direction; restart along the gradient
+            success = True
             continue
         alpha = mu / delta
         check_finite(delta, mu, alpha)
-        w_try = st.w + alpha * st.p
+        w_try = w + alpha * p
         e_try, g_try = objective(w_try)
         comparison = 2.0 * delta * (e_w - e_try) / mu ** 2
         check_finite(e_try, comparison)
 
-        restarted = False
-        if comparison >= 0:
-            st.w = w_try
+        accepted = success = comparison >= 0
+        restarted = accepted and k % n_restart == 0
+        if accepted:
+            w = w_try
             e_w = e_try
             g = g_try
             r_new = -g
-            st.lam_bar = 0.0
-            st.success = True
-            if st.k % n_restart == 0:
-                p_new = r_new.copy()
-                restarted = True
+            lam_bar = 0.0
+            if restarted:
+                p = r_new
             else:
-                beta = (float(r_new @ r_new) - float(r_new @ st.r)) / mu
-                p_new = r_new + beta * st.p
+                beta = (float(r_new @ r_new) - float(r_new @ r)) / mu
+                p = r_new + beta * p
+            r = r_new
             if comparison >= 0.75:
-                st.lam = 0.25 * st.lam
-            accepted = True
+                lam = 0.25 * lam
         else:
-            st.lam_bar = st.lam
-            st.success = False
-            p_new = st.p
-            r_new = st.r
-            accepted = False
+            lam_bar = lam
         if comparison < 0.25:
-            st.lam = st.lam + delta * (1.0 - comparison) / norm_p_sq
-        check_finite(st.lam, st.lam_bar)
+            lam = lam + delta * (1.0 - comparison) / norm_p_sq
+        check_finite(lam, lam_bar)
 
         history.loss.append(e_w)
-        history.lambda_.append(st.lam)
+        history.lambda_.append(lam)
         history.comparison.append(comparison)
         history.accepted.append(accepted)
         history.curvature.append(delta)
         history.restarted.append(restarted)
 
-        st.r = r_new
-        st.p = p_new
-        if float(np.linalg.norm(st.r)) < params.grad_tol:
+        if float(np.linalg.norm(r)) < params.grad_tol:
             history.stop_reason = "gradient_zero"
             break
         if e_w <= params.target_loss:
             history.stop_reason = "target_loss"
             break
-        if st.k >= params.max_iters:
+        if k >= params.max_iters:
             history.stop_reason = "max_iters"
             break
-        st.k += 1
+        k += 1
 
     history.final_loss = e_w
     history.iterations = len(history.loss)
-    return st.w, history
+    return w, history
 
 
 def scg_train(model: MlpModel, inputs, targets,
@@ -425,4 +402,8 @@ def save_model(path, bundle: ModelBundle) -> None:
 
 def load_model(path) -> ModelBundle:
     with open(path) as fh:
-        return ModelBundle.from_dict(json.load(fh))
+        try:
+            return ModelBundle.from_dict(json.load(fh))
+        except (ValueError, LookupError, TypeError) as exc:
+            raise DataError(f"{path}: not a model file "
+                            f"({type(exc).__name__}: {exc})") from None

@@ -104,11 +104,9 @@ def _regularize_wd(target, config, predictor):
 
 
 def _regularize_emd(target, config, predictor):
-    sift = emdreg.SiftParams(sd_threshold=config.sd_threshold)
-    decomposition = emdreg.emd(target, sift)
-    p1_eff = min(config.p1, len(decomposition) - 1)
-    return emdreg.regularize_emd(target, sift, p1=p1_eff,
-                                 decomposition=decomposition)
+    decomposition = emdreg.emd(target, emdreg.SiftParams(config.sd_threshold))
+    return emdreg.regularize_emd(target, decomposition,
+                                 min(config.p1, len(decomposition) - 1))
 
 
 def _wd_truncation(config) -> list:
@@ -192,19 +190,33 @@ class RunConfig:
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {tuple(METHODS)}, "
                               f"got {self.method!r}")
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
-        for name in ("train_seed", "split_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
         if not (math.isfinite(self.dt_ms) and self.dt_ms > 0):
             raise ConfigError(f"dt_ms must be finite and > 0, got {self.dt_ms}")
         for name in ("target_loss", "validation_cc_threshold"):
             if math.isnan(getattr(self, name)):
                 raise ConfigError(f"{name} must be a number, got nan")
-        if self.filter_window < 1 or self.filter_window % 2 == 0:
-            raise ConfigError(f"filter_window must be odd and >= 1, "
-                              f"got {self.filter_window}")
+        for name in ("filter_window", "avg_span"):
+            value = getattr(self, name)
+            if value < 1 or value % 2 == 0:
+                raise ConfigError(f"{name} must be odd and >= 1, got {value}")
+        for name, least in (("max_attempts", 1), ("train_seed", 0),
+                            ("split_seed", 0), ("hidden", 1), ("mi_bins", 2),
+                            ("wd_levels", 1), ("p1", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, "
+                                  f"got {getattr(self, name)}")
+        levels = range(1, self.wd_levels + 1)
+        if not set(self.truncate_details or ()) <= set(levels):
+            raise ConfigError(f"truncate {self.truncate_details} outside "
+                              f"1..{self.wd_levels}")
+        # the engines' own validators, so a bad value exits 2 before any
+        # input is read
+        mlp.ScgParams(sigma=self.sigma, lambda1=self.lambda1,
+                      max_iters=self.max_iters, target_loss=self.target_loss)
+        emdreg.SiftParams(self.sd_threshold)
+        waveletreg.WaveletSpec.named(self.wavelet)
+        if self.zeta_max_hz is not None:
+            ftreg.FtRegParams(self.zeta_max_hz)
 
 
 _CONVERTERS = {str: str, int: int, float: float,
@@ -645,13 +657,17 @@ def read_patterns_csv(path) -> list:
         header = fh.readline().strip()
         if header != "well,time_ms,imp,amp,freq,sf":
             raise DataError(f"unexpected pattern CSV header: {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
                 continue
-            well_id, t, imp, amp, freq, sf = line.split(",")
-            by_well.setdefault(well_id, []).append(
-                (float(t), float(imp), float(amp), float(freq), float(sf)))
+            well_id, *cells = line.split(",")
+            try:
+                t, imp, amp, freq, sf = map(float, cells)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: expected a well id and five "
+                                f"numbers, got {line!r}") from None
+            by_well.setdefault(well_id, []).append((t, imp, amp, freq, sf))
     wells = []
     for well_id, rows in by_well.items():
         arr = np.array(rows)

@@ -105,12 +105,16 @@ def load_velocity_csv(path) -> VelocityProfile:
         header = fh.readline().strip().replace(" ", "")
         if header.lower() != "depth_m,time_ms":
             raise DataError(f"velocity CSV needs a depth_m,time_ms header, got {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
                 continue
-            d, t = line.split(",")
-            knots.append((float(d), float(t)))
+            try:
+                d, t = map(float, line.split(","))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: expected depth_m,time_ms "
+                                f"numbers, got {line!r}") from None
+            knots.append((d, t))
     return VelocityProfile(knots)
 
 

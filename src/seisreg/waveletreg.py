@@ -2,10 +2,12 @@
 regularization.
 
 A two-channel orthonormal filter bank: per level the running approximation
-is extended at the boundaries, correlated with the low/high-pass
-decomposition filters and downsampled by two.  Reconstruction is the exact
-adjoint (upsample, convolve, sum), so idwt(dwt(x)) returns x to floating
-precision for every supported wavelet, boundary mode and length.
+is extended at both ends by half-point symmetry (the one boundary mode),
+correlated with the low/high-pass decomposition filters and downsampled by
+two.  dwt records each level's input length; reconstruction upsamples,
+convolves with the same filters, sums and cuts back to that length, so
+idwt(dwt(x)) returns x to floating precision for every supported wavelet
+and length.
 
 Daubechies coefficients are embedded from the published minimum-phase
 tables and cross-checked against the quadrature-mirror and orthonormality
@@ -23,10 +25,6 @@ from .resample import TimeSeries
 
 
 class TooManyLevels(ConfigError):
-    pass
-
-
-class SpecMismatch(DataError):
     pass
 
 
@@ -78,8 +76,6 @@ class WaveletSpec:
     name: str
     dec_lo: np.ndarray
     dec_hi: np.ndarray
-    rec_lo: np.ndarray
-    rec_hi: np.ndarray
 
     @property
     def length(self) -> int:
@@ -90,9 +86,7 @@ class WaveletSpec:
         if name not in _DEC_LO:
             raise ConfigError(f"unknown wavelet {name!r}; have {sorted(_DEC_LO)}")
         h = np.asarray(_DEC_LO[name], dtype=np.float64)
-        g = _qmf(h)
-        return cls(name=name, dec_lo=h, dec_hi=g, rec_lo=h[::-1].copy(),
-                   rec_hi=g[::-1].copy())
+        return cls(name=name, dec_lo=h, dec_hi=_qmf(h))
 
     def validate(self):
         h, g = self.dec_lo, self.dec_hi
@@ -125,65 +119,30 @@ for _name in _DEC_LO:
 
 @dataclass
 class WaveletCoeffs:
-    levels: int
     approx: np.ndarray
     details: list                 # details[0] is level 1 (finest)
-    boundary_mode: str
-    original_length: int
-    wavelet_name: str = ""
-
-    def level_lengths(self, filter_len: int):
-        return _level_lengths(self.original_length, filter_len, self.levels,
-                              self.boundary_mode)
+    lengths: list                 # lengths[0] is level 1's input length
 
 
-def _level_lengths(n0: int, L: int, levels: int, mode: str):
-    """Input length at each cascade stage: [n0, n1, ..., n_levels]."""
-    lens = [n0]
-    n = n0
-    for _ in range(levels):
-        if mode == "periodization":
-            n = -(-n // 2)
-        else:
-            n = (n + L - 1) // 2
-        lens.append(n)
-    return lens
-
-
-def _extend_symmetric(x: np.ndarray, pad: int) -> np.ndarray:
-    # half-point symmetry: ... x1 x0 | x0 x1 ... xn-1 | xn-1 xn-2 ...
-    if pad > len(x):
-        raise TooManyLevels("signal too short for this filter at this level")
-    return np.concatenate([x[pad - 1::-1], x, x[:-pad - 1:-1]])
-
-
-def _dwt_level(x: np.ndarray, spec: WaveletSpec, mode: str):
+def _dwt_level(x: np.ndarray, spec: WaveletSpec):
     L = spec.length
     n = len(x)
     if n < L:
         raise TooManyLevels(
             f"level input of {n} samples is shorter than the {L}-tap filter"
         )
-    if mode == "symmetric":
-        xe = _extend_symmetric(x, L - 1)
-        lo = np.correlate(xe, spec.dec_lo, mode="valid")[1::2]
-        hi = np.correlate(xe, spec.dec_hi, mode="valid")[1::2]
-    elif mode == "periodization":
-        if n % 2:
-            raise ConfigError("periodization mode requires an even length per level")
-        xe = np.concatenate([x, x[:L]])
-        lo = np.correlate(xe, spec.dec_lo, mode="valid")[0:n:2]
-        hi = np.correlate(xe, spec.dec_hi, mode="valid")[0:n:2]
-    else:
-        raise ConfigError(f"unknown boundary mode {mode!r}")
+    # L - 1 samples of half-point symmetry: ... x1 x0 | x0 ... xn-1 | xn-1 ...
+    xe = np.concatenate([x[L - 2::-1], x, x[:-L:-1]])
+    lo = np.correlate(xe, spec.dec_lo, mode="valid")[1::2]
+    hi = np.correlate(xe, spec.dec_hi, mode="valid")[1::2]
     return lo, hi
 
 
-def _idwt_level(lo: np.ndarray, hi: np.ndarray, spec: WaveletSpec, mode: str,
+def _idwt_level(lo: np.ndarray, hi: np.ndarray, spec: WaveletSpec,
                 n_out: int) -> np.ndarray:
-    # Analysis is correlation with the dec filters, so the orthogonal
-    # adjoint here is plain convolution with the same filters (equivalently,
-    # convolution with the time-reversed rec pair).
+    # Analysis is correlation with the dec filters, so synthesis is plain
+    # convolution with the same filters; the symmetric extension's L - 2
+    # leading samples are cut off.
     L = spec.length
     m = len(lo)
     up_lo = np.zeros(2 * m)
@@ -191,17 +150,11 @@ def _idwt_level(lo: np.ndarray, hi: np.ndarray, spec: WaveletSpec, mode: str,
     up_lo[0::2] = lo
     up_hi[0::2] = hi
     full = np.convolve(up_lo, spec.dec_lo) + np.convolve(up_hi, spec.dec_hi)
-    if mode == "symmetric":
-        return full[L - 2:L - 2 + n_out]
-    # periodization: fold the circular tail back onto the head
-    out = full[:n_out].copy()
-    tail = full[n_out:]
-    out[:len(tail)] += tail
-    return out
+    return full[L - 2:L - 2 + n_out]
 
 
-def dwt(series, spec: WaveletSpec | str = "db4", levels: int = 1,
-        boundary_mode: str = "symmetric") -> WaveletCoeffs:
+def dwt(series, spec: WaveletSpec | str = "db4",
+        levels: int = 1) -> WaveletCoeffs:
     """Cascade decomposition: per level split into approximation and detail,
     downsample by two, recurse on the approximation."""
     if isinstance(spec, str):
@@ -209,39 +162,26 @@ def dwt(series, spec: WaveletSpec | str = "db4", levels: int = 1,
     x = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=np.float64)
     if levels < 1:
         raise ConfigError("levels must be >= 1")
-    details = []
-    approx = x
+    coeffs = WaveletCoeffs(approx=x, details=[], lengths=[])
     for _ in range(levels):
-        approx, detail = _dwt_level(approx, spec, boundary_mode)
-        details.append(detail)
-    return WaveletCoeffs(levels=levels, approx=approx, details=details,
-                         boundary_mode=boundary_mode, original_length=len(x),
-                         wavelet_name=spec.name)
+        coeffs.lengths.append(len(coeffs.approx))
+        coeffs.approx, detail = _dwt_level(coeffs.approx, spec)
+        coeffs.details.append(detail)
+    return coeffs
 
 
 def idwt(coeffs: WaveletCoeffs, spec: WaveletSpec | str = "db4") -> np.ndarray:
-    """Exact inverse of dwt; output length equals the original length."""
+    """Inverse of dwt; output length equals the original length."""
     if isinstance(spec, str):
         spec = WaveletSpec.named(spec)
-    if coeffs.wavelet_name and coeffs.wavelet_name != spec.name:
-        raise SpecMismatch(
-            f"coefficients were produced with {coeffs.wavelet_name!r}, not {spec.name!r}"
-        )
-    lens = coeffs.level_lengths(spec.length)
-    if len(coeffs.approx) != lens[-1]:
-        raise SpecMismatch("approximation length inconsistent with wavelet/mode")
-    for i, d in enumerate(coeffs.details):
-        if len(d) != lens[i + 1]:
-            raise SpecMismatch(f"detail level {i + 1} length inconsistent")
     x = coeffs.approx
-    for level in range(coeffs.levels, 0, -1):
-        x = _idwt_level(x, coeffs.details[level - 1], spec, coeffs.boundary_mode,
-                        lens[level - 1])
+    for detail, n_out in zip(coeffs.details[::-1], coeffs.lengths[::-1]):
+        x = _idwt_level(x, detail, spec, n_out)
     return x
 
 
 def regularize_wd(series: TimeSeries, wavelet: str = "db4", levels: int = 6,
-                  truncate_details=None, boundary_mode: str = "symmetric"):
+                  truncate_details=None):
     """Zero the selected detail levels and rebuild.
 
     Default truncation set is every level but the coarsest, which keeps the
@@ -256,7 +196,7 @@ def regularize_wd(series: TimeSeries, wavelet: str = "db4", levels: int = 6,
         raise ConfigError(
             f"truncate_details {sorted(truncate_details)} outside 1..{levels}"
         )
-    coeffs = dwt(series, spec, levels=levels, boundary_mode=boundary_mode)
+    coeffs = dwt(series, spec, levels=levels)
     removed_energy = 0.0
     for lvl in truncate_details:
         d = coeffs.details[lvl - 1]

@@ -77,7 +77,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("setting", [
         "filter_window=2", "filter_window=0", "filter_window=-1",
         "target_loss=nan", "validation_cc_threshold=nan",
-        "dt_ms=inf", "dt_ms=-inf"])
+        "dt_ms=inf", "dt_ms=-inf",
+        "sigma=2e-4", "lambda1=0", "max_iters=-1", "hidden=0", "mi_bins=1",
+        "wavelet=sym5", "wd_levels=0", "truncate=9", "p1=0", "avg_span=4",
+        "sd_threshold=5", "zeta_max_hz=-1"])
     def test_bad_run_setting_is_2_before_reading_inputs(self, workdir, setting):
         # the inputs do not exist: reading any of them would exit 3
         missing = workdir / "missing"
@@ -91,6 +94,49 @@ class TestExitCodes:
                    "--freq", bench / "freq.svol",
                    "--well", f"A:{bench}/well_A.las:{bench}/vel_A.csv",
                    "--dt", "nan", "--out", workdir / "nan.csv") == 2
+
+    @pytest.mark.parametrize("name, text", [
+        ("short_row.csv", "A,0.0,1.0,2.0,3.0"),
+        ("text_cell.csv", "A,0.0,1.0,two,3.0,0.5")])
+    def test_malformed_patterns_is_3(self, workdir, name, text):
+        path = workdir / name
+        path.write_text(f"well,time_ms,imp,amp,freq,sf\n{text}\n")
+        assert run("metrics", path) == 3
+
+    def test_malformed_velocity_is_3(self, workdir, bench):
+        vel = workdir / "three_columns.csv"
+        vel.write_text("depth_m,time_ms\n1,2,3\n")
+        assert run("prep", "--imp", bench / "imp.svol", "--amp", bench / "amp.svol",
+                   "--freq", bench / "freq.svol",
+                   "--well", f"A:{bench}/well_A.las:{vel}",
+                   "--out", workdir / "unused.csv") == 3
+
+    @pytest.mark.parametrize("text", ["{not json", "{}"])
+    def test_malformed_model_is_3(self, workdir, bench, text):
+        model = workdir / "malformed_model.json"
+        model.write_text(text)
+        vols = ",".join(str(bench / f"{n}.svol") for n in ("imp", "amp", "freq"))
+        assert run("predict", "--model", model, "--vol", vols,
+                   "--out", workdir / "unused.svol") == 3
+
+    def test_malformed_report_is_3(self, workdir):
+        report = workdir / "empty_report.json"
+        report.write_text("{}")
+        assert run("report", report) == 3
+
+    def test_non_utf8_attribute_name_is_3(self, workdir, bench):
+        blob = bytearray((bench / "imp.svol").read_bytes())
+        blob[64] = 0xFF     # first byte of the attribute name
+        bad = workdir / "bad_name.svol"
+        bad.write_bytes(bytes(blob))
+        assert run("filter", "--in", bad, "--out", workdir / "unused.svol") == 3
+
+    @pytest.mark.parametrize("offset", [0, 238, 239])
+    def test_header_offset_outside_trace_header_is_2(self, workdir, offset):
+        sgy = workdir / "offsets.sgy"
+        sgy.write_bytes(make_segy([(1, 1, [0.0, 1.0])]))
+        assert run("convert", "--segy", sgy, "--out", workdir / "unused.svol",
+                   "--inline-byte", offset) == 2
 
     def test_repeated_well_is_2(self, workdir, bench):
         cfg = workdir / "repeated.cfg"

@@ -6,7 +6,6 @@ import pytest
 from seisreg.errors import ConfigError
 from seisreg.metrics import series_entropy
 from seisreg.waveletreg import (
-    SpecMismatch,
     TooManyLevels,
     WaveletSpec,
     available_wavelets,
@@ -93,6 +92,9 @@ class TestIdwt:
             x = rng.standard_normal(n)
             coeffs = dwt(x, "db4", levels=2)
             assert np.abs(idwt(coeffs, "db4") - x).max() < 1e-10
+            # symmetric mode: each level's input is (n + L - 1) // 2 long
+            assert coeffs.lengths == [n, (n + 7) // 2]
+            assert len(coeffs.approx) == ((n + 7) // 2 + 7) // 2
 
     def test_zeroed_approx_haar(self):
         coeffs = dwt(np.array([1.0, 1.0, 1.0, 1.0]), "haar", levels=1)
@@ -111,20 +113,6 @@ class TestIdwt:
         total = idwt(approx_only, "db2") + idwt(details_only, "db2")
         assert np.abs(total - x).max() < 1e-10
 
-    def test_spec_mismatch(self):
-        coeffs = dwt(np.zeros(64), "db4", levels=2)
-        with pytest.raises(SpecMismatch):
-            idwt(coeffs, "haar")
-
-    def test_energy_split_periodization(self):
-        rng = np.random.default_rng(15)
-        x = rng.standard_normal(1024)
-        x /= np.linalg.norm(x)  # unit energy, so the bound is scale-free
-        coeffs = dwt(x, "db4", levels=6, boundary_mode="periodization")
-        energy = np.dot(coeffs.approx, coeffs.approx) + \
-            sum(np.dot(d, d) for d in coeffs.details)
-        assert abs(energy - 1.0) < 1e-9
-
 
 def trend_plus_noise(n=1024, seed=21):
     rng = np.random.default_rng(seed)
@@ -140,16 +128,12 @@ class TestRegularizeWd:
         assert np.abs(out.values - ts.values).max() < 1e-10
 
     def test_energy_bookkeeping(self):
-        # orthonormal split: removed signal energy equals the energy of the
-        # zeroed coefficients (periodization keeps this exact)
+        # removed_energy is the energy of the zeroed detail coefficients
         ts = trend_plus_noise()
-        coeffs = dwt(ts, "db4", levels=6, boundary_mode="periodization")
+        coeffs = dwt(ts, "db4", levels=6)
         expected = sum(float(np.dot(coeffs.details[l - 1], coeffs.details[l - 1]))
                        for l in range(1, 7))
-        out, detail = regularize_wd(ts, levels=6, truncate_details=range(1, 7),
-                                    boundary_mode="periodization")
-        removed = float(np.dot(ts.values - out.values, ts.values - out.values))
-        assert removed == pytest.approx(expected, rel=1e-9)
+        _, detail = regularize_wd(ts, levels=6, truncate_details=range(1, 7))
         assert detail["removed_energy"] == pytest.approx(expected, rel=1e-12)
 
     def test_noise_variance_reduced(self):
