@@ -41,8 +41,8 @@ class SeismicVolume:
             self.mask = np.ones(self.data.shape, dtype=bool)
         else:
             self.mask = np.asarray(self.mask, dtype=bool)
-        if self.dt_ms <= 0:
-            raise DataError(f"dt_ms must be positive, got {self.dt_ms}")
+        if not (np.isfinite(self.dt_ms) and self.dt_ms > 0):
+            raise DataError(f"dt_ms must be finite and positive, got {self.dt_ms}")
         expected = (len(self.inlines), len(self.xlines))
         if self.data.shape[:2] != expected or self.mask.shape != self.data.shape:
             raise DataError("grid dimensions do not match index lists")

@@ -385,9 +385,15 @@ class ModelBundle:
             raise DataError(
                 f"{len(flat)} weights for layer sizes {d['layer_sizes']}"
             )
+        input_stats = ZscoreStats.from_dict(d["input_stats"])
+        if not input_stats.mean.shape == input_stats.std.shape == (n_in,):
+            raise DataError(
+                f"input_stats mean/std of shapes {input_stats.mean.shape}/"
+                f"{input_stats.std.shape} for {n_in} inputs"
+            )
         return cls(
             model=template.with_flat(flat),
-            input_stats=ZscoreStats.from_dict(d["input_stats"]),
+            input_stats=input_stats,
             target_stats=MinMaxStats.from_dict(d["target_stats"]),
             seed=int(d.get("seed", 0)),
             attribute_names=list(d.get("attribute_names", ["imp", "amp", "freq"])),

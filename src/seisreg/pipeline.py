@@ -7,6 +7,7 @@ sequencing, configuration and reporting only.
 """
 
 import io
+import itertools
 import json
 import math
 import os
@@ -641,36 +642,77 @@ def report_tables(report: RunReport, fmt: str = "text") -> str:
 
 
 def write_patterns_csv(path, wells: list) -> None:
-    """Pattern file: well,time_ms,imp,amp,freq,sf — raw (unnormalized)."""
+    """Pattern file: well,time_ms,imp,amp,freq,sf — raw (unnormalized).
+
+    Every number is written as `%.17g`, which round-trips a float64
+    exactly; one format string covers all of a well's rows.
+    """
     with open(path, "w") as fh:
         fh.write("well,time_ms,imp,amp,freq,sf\n")
         for w in wells:
-            for k, t in enumerate(w.times_ms):
-                fh.write(f"{w.well_id},{t:.17g},{w.imp[k]:.17g},{w.amp[k]:.17g},"
-                         f"{w.freq[k]:.17g},{w.sf[k]:.17g}\n")
+            row = w.well_id.replace("%", "%%") + ",%.17g,%.17g,%.17g,%.17g,%.17g\n"
+            table = np.column_stack([w.times_ms, w.imp, w.amp, w.freq, w.sf])
+            fh.write(row * len(table) % tuple(table.ravel().tolist()))
+
+
+def _parse_pattern_rows(rows: list) -> np.ndarray:
+    """The five numeric cells of each `id,t,imp,amp,freq,sf` row.
+
+    A row with fewer than six cells is a ValueError; cells past the sixth
+    are not looked at.
+    """
+    return np.loadtxt(rows, delimiter=",", usecols=(1, 2, 3, 4, 5),
+                      comments=None, ndmin=2)
+
+
+def _bad_pattern_row(path, lines: list) -> DataError:
+    """The error naming the first of `lines` (file line 2 onwards) that is
+    neither blank nor a well id and five numbers."""
+    for lineno, line in enumerate(lines, 2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            if line.count(",") != 5:
+                raise ValueError
+            _parse_pattern_rows([line])
+        except ValueError:
+            return DataError(f"{path}:{lineno}: expected a well id and five "
+                             f"numbers, got {line!r}")
+    return DataError(f"{path}: expected a well id and five numbers per row")
 
 
 def read_patterns_csv(path) -> list:
-    """Inverse of write_patterns_csv; returns a list of WellData."""
-    by_well = {}
+    """Inverse of write_patterns_csv; returns a list of WellData.
+
+    Blank lines are skipped.  A row that is not a well id and five numbers
+    is a DataError naming its `path:line`.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "well,time_ms,imp,amp,freq,sf":
             raise DataError(f"unexpected pattern CSV header: {header!r}")
-        for lineno, line in enumerate(fh, 2):
-            line = line.strip()
-            if not line:
-                continue
-            well_id, *cells = line.split(",")
-            try:
-                t, imp, amp, freq, sf = map(float, cells)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: expected a well id and five "
-                                f"numbers, got {line!r}") from None
-            by_well.setdefault(well_id, []).append((t, imp, amp, freq, sf))
+        body = fh.read()
+    lines = body.split("\n")
+    rows = [row for row in map(str.strip, lines) if row]
+    if not rows:
+        return []
+    try:
+        table = _parse_pattern_rows(rows)
+    except ValueError:
+        raise _bad_pattern_row(path, lines) from None
+    # every row has at least five commas, so this total means exactly five
+    if body.count(",") != 5 * len(rows):
+        raise _bad_pattern_row(path, lines)
+    by_well = {}
+    start = 0
+    for well_id, run in itertools.groupby(row[:row.index(",")] for row in rows):
+        stop = start + len(list(run))
+        by_well.setdefault(well_id, []).append(np.arange(start, stop))
+        start = stop
     wells = []
-    for well_id, rows in by_well.items():
-        arr = np.array(rows)
+    for well_id, runs in by_well.items():
+        arr = table[np.concatenate(runs)]
         times = arr[:, 0]
         steps = np.diff(times)
         if len(steps) == 0:

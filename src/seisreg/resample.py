@@ -48,8 +48,8 @@ class TimeSeries:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.dt_ms <= 0:
-            raise DataError(f"dt_ms must be positive, got {self.dt_ms}")
+        if not (np.isfinite(self.dt_ms) and self.dt_ms > 0):
+            raise DataError(f"dt_ms must be finite and positive, got {self.dt_ms}")
         if not np.isfinite(self.values).all():
             raise DataError("TimeSeries values must be finite")
 
@@ -142,9 +142,17 @@ def sinc_resample(trace: TimeSeries, target_t0_ms: float, target_dt_ms: float,
                   n_out: int) -> TimeSeries:
     """Whittaker-Shannon reconstruction of a band-limited trace on a finer grid.
 
-    Full-support sum over every source sample, no windowing: exact at the
-    source sample instants, O(N*M) which is fine for logs of a few thousand
-    samples.  Upsampling only.
+    Full-support sum over every source sample, no windowing.  Upsampling
+    only.  With a = (t - t0) / dt the source-sample position of output
+    instant t, r = rint(a) and f = a - r, both grids being uniform gives
+
+        sin(pi (a - n)) = (-1)^(r+n) sin(pi f),
+
+    so the kernel row of t is (-1)^r sin(pi f) / pi * (-1)^n / (a - n): one
+    sine per output sample, and a matrix of reciprocals in place of a sinc
+    per kernel element.  The cost is still O(N*M) divisions, which is fine
+    for logs of a few thousand samples.  An output instant that falls on a
+    source sample (f == 0) takes that sample exactly.
     """
     if target_dt_ms > trace.dt_ms:
         raise DownsampleRequested(
@@ -158,9 +166,21 @@ def sinc_resample(trace: TimeSeries, target_t0_ms: float, target_dt_ms: float,
             f"target [{t_out[0]}, {t_out[-1]}] ms outside source "
             f"[{t_src[0]}, {t_src[-1]}] ms"
         )
-    kernel = np.sinc((t_out[:, None] - t_src[None, :]) / trace.dt_ms)
-    return TimeSeries(t0_ms=float(t_out[0]), dt_ms=target_dt_ms,
-                      values=kernel @ trace.values)
+    a = (t_out - trace.t0_ms) / trace.dt_ms
+    r = np.rint(a)
+    f = a - r
+    on_source = f == 0
+    values = np.empty(n_out)
+    values[on_source] = trace.values[r[on_source].astype(np.intp)]
+    between = ~on_source
+    alternating = trace.values.copy()
+    alternating[1::2] *= -1.0
+    reciprocals = np.subtract.outer(a[between], np.arange(len(trace), dtype=np.float64))
+    np.reciprocal(reciprocals, out=reciprocals)
+    scale = np.sin(np.pi * f[between]) / np.pi
+    scale[r[between] % 2 == 1] *= -1.0
+    values[between] = scale * (reciprocals @ alternating)
+    return TimeSeries(t0_ms=float(t_out[0]), dt_ms=target_dt_ms, values=values)
 
 
 @dataclass

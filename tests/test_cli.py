@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -97,11 +98,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name, text", [
         ("short_row.csv", "A,0.0,1.0,2.0,3.0"),
-        ("text_cell.csv", "A,0.0,1.0,two,3.0,0.5")])
-    def test_malformed_patterns_is_3(self, workdir, name, text):
+        ("text_cell.csv", "A,0.0,1.0,two,3.0,0.5"),
+        ("long_row.csv", "A,0.0,1.0,2.0,3.0,0.5,0.5"),
+        ("blank_then_bad.csv", "A,0.0,1.0,2.0,3.0,0.5\n\nA,0.15,1.0,2.0,3.0")])
+    def test_malformed_patterns_is_3(self, workdir, capsys, name, text):
+        # the bad row is the last line of `text`; the header is line 1
         path = workdir / name
         path.write_text(f"well,time_ms,imp,amp,freq,sf\n{text}\n")
         assert run("metrics", path) == 3
+        assert f"{path}:{2 + text.count(chr(10))}:" in capsys.readouterr().err
 
     def test_malformed_velocity_is_3(self, workdir, bench):
         vel = workdir / "three_columns.csv"
@@ -123,6 +128,28 @@ class TestExitCodes:
         report = workdir / "empty_report.json"
         report.write_text("{}")
         assert run("report", report) == 3
+
+    def test_model_stats_width_mismatch_is_3(self, workdir, patterns, bench):
+        model = workdir / "narrow_stats.json"
+        assert run("train", patterns, "--max-iters", 20, "--out", model) == 0
+        bundle = json.loads(model.read_text())
+        assert bundle["layer_sizes"][0] == 3
+        bundle["input_stats"]["mean"] = bundle["input_stats"]["mean"][:2]
+        model.write_text(json.dumps(bundle))
+        vols = ",".join(str(bench / f"{n}.svol") for n in ("imp", "amp", "freq"))
+        assert run("predict", "--model", model, "--vol", vols,
+                   "--out", workdir / "unused.svol") == 3
+
+    @pytest.mark.parametrize("command", ["filter", "slice"])
+    def test_nan_dt_header_is_3(self, workdir, bench, command):
+        blob = bytearray((bench / "imp.svol").read_bytes())
+        blob[32:40] = struct.pack("<d", float("nan"))   # dt_ms, docs/format.md
+        bad = workdir / "nan_dt.svol"
+        bad.write_bytes(bytes(blob))
+        extra = ["--inline", int(read_svol(bench / "imp.svol").inlines[0])] \
+            if command == "slice" else []
+        assert run(command, "--in", bad, *extra,
+                   "--out", workdir / f"unused_{command}.out") == 3
 
     def test_non_utf8_attribute_name_is_3(self, workdir, bench):
         blob = bytearray((bench / "imp.svol").read_bytes())

@@ -188,6 +188,33 @@ class TestPatternsCsv:
             np.testing.assert_array_equal(w1.imp, w2.imp)
             assert w2.dt_ms == pytest.approx(0.5)
 
+    def test_bytes_match_per_row_format_and_values_roundtrip(self, tmp_path):
+        rng = np.random.default_rng(2)
+        special = [-0.0, 0.0, 5e-324, -1e-310, 1e300, -1e300, 3.0, -7.0, 6000.0]
+
+        def column(n=40):
+            values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+            values[:len(special)] = rng.permutation(special)
+            return values
+
+        names = ("imp", "amp", "freq", "sf")
+        wells = [WellData(w, 0, 0, t0, 0.15, **{name: column() for name in names})
+                 for w, t0 in (("A", 2208.0), ("B%d", -3.5))]
+        path = tmp_path / "patterns.csv"
+        write_patterns_csv(path, wells)
+        expected = "well,time_ms,imp,amp,freq,sf\n" + "".join(
+            f"{w.well_id},{t:.17g},{w.imp[k]:.17g},{w.amp[k]:.17g},"
+            f"{w.freq[k]:.17g},{w.sf[k]:.17g}\n"
+            for w in wells for k, t in enumerate(w.times_ms))
+        assert path.read_bytes() == expected.encode()
+        again = read_patterns_csv(path)
+        assert [w.well_id for w in again] == ["A", "B%d"]
+        for w1, w2 in zip(wells, again):
+            assert w2.t0_ms == w1.t0_ms
+            for name in names:
+                np.testing.assert_array_equal(getattr(w2, name).view(np.int64),
+                                              getattr(w1, name).view(np.int64))
+
 
 class TestWorkflow:
     def test_structure_and_disjointness(self, bench_config_text):
