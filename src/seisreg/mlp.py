@@ -5,7 +5,10 @@ Training evaluates one fused objective, `w -> (loss, gradient)`: a single
 forward pass over the pattern set yields the average error energy and,
 through backprop, its exact gradient.  The objective reads the weights as
 views of the flat vector and reuses work arrays allocated once per
-training run.
+training run.  It holds the hidden activations unit-major (hidden units ×
+patterns), so each hidden unit's bias gradient sums one contiguous row.
+`loss` and `gradient` evaluate that same objective; prediction
+(`forward_batch`) stays row-major, patterns × hidden units.
 
 The trainer follows Moller's published SCG ordering: curvature along the
 search direction is estimated from a gradient difference (the Hessian is
@@ -102,16 +105,6 @@ def forward(model: MlpModel, x) -> float:
     return float(forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
-def loss(model: MlpModel, inputs, targets) -> float:
-    """Average error energy (1/2N) * sum of squared output errors."""
-    targets = np.asarray(targets, dtype=np.float64)
-    if len(targets) == 0:
-        raise ConfigError("empty pattern set")
-    out = forward_batch(model, inputs)
-    err = targets - out
-    return float(np.dot(err, err) / (2.0 * len(targets)))
-
-
 def _patterns(model: MlpModel, inputs, targets):
     """The pattern set as float64 arrays, checked against the model."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
@@ -130,17 +123,19 @@ def _objective(n_in: int, n_hidden: int, inputs: np.ndarray,
     """Fused average error energy and its backprop gradient on one checked
     pattern set, as a function of the flat weight vector.
 
-    The returned closure reuses its work arrays across calls and returns a
-    new gradient array each time.  Its forward pass repeats `loss`'s
-    floating-point operations in their order (`inputs @ W.T + b`, not an
-    augmented bias column), so the two losses agree bit for bit;
-    tests/test_mlp.py pins the gradient's operation order against an
+    The activations are held unit-major, one row of `n` patterns per hidden
+    unit, against a contiguous copy of `inputs.T` made once per pattern set:
+    the hidden pre-activation is `W @ inputs.T + b[:, None]` and each bias
+    gradient sums one contiguous row.  The returned closure reuses its work
+    arrays across calls and returns a new gradient array each time;
+    tests/test_mlp.py pins its operation order against an
     expression-by-expression reference.
     """
     n = len(targets)
     nh = n_hidden * (n_in + 1)
-    hidden = np.empty((n, n_hidden))
-    delta_hidden = np.empty((n, n_hidden))
+    inputs_t = np.ascontiguousarray(inputs.T)
+    hidden = np.empty((n_hidden, n))
+    delta_hidden = np.empty((n_hidden, n))
     out = np.empty(n)
     err = np.empty(n)
     delta_out = np.empty(n)
@@ -148,10 +143,10 @@ def _objective(n_in: int, n_hidden: int, inputs: np.ndarray,
     def objective(flat: np.ndarray):
         w_hidden = flat[:nh].reshape(n_hidden, n_in + 1)
         w_out = flat[nh:]
-        np.matmul(inputs, w_hidden[:, :-1].T, out=hidden)
-        np.add(hidden, w_hidden[:, -1], out=hidden)
+        np.matmul(w_hidden[:, :-1], inputs_t, out=hidden)
+        np.add(hidden, w_hidden[:, -1:], out=hidden)
         np.tanh(hidden, out=hidden)
-        np.matmul(hidden, w_out[:-1], out=out)
+        np.matmul(w_out[:-1], hidden, out=out)
         np.add(out, w_out[-1], out=out)
         np.negative(out, out=out)               # logistic(v) = 1 / (1 + exp(-v))
         np.exp(out, out=out)
@@ -167,18 +162,26 @@ def _objective(n_in: int, n_hidden: int, inputs: np.ndarray,
         np.multiply(delta_out, err, out=delta_out)
         np.divide(delta_out, n, out=delta_out)
         grad = np.empty_like(flat)
-        grad[nh:-1] = hidden.T @ delta_out
+        grad[nh:-1] = hidden @ delta_out
         grad[-1] = delta_out.sum()
-        np.multiply(delta_out[:, None], w_out[:-1], out=delta_hidden)
+        np.multiply(w_out[:-1, None], delta_out, out=delta_hidden)
         np.square(hidden, out=hidden)           # 1 - tanh^2
         np.subtract(1.0, hidden, out=hidden)
         np.multiply(delta_hidden, hidden, out=delta_hidden)
         grad_hidden = grad[:nh].reshape(n_hidden, n_in + 1)
-        grad_hidden[:, :-1] = delta_hidden.T @ inputs
-        grad_hidden[:, -1] = delta_hidden.sum(axis=0)
+        grad_hidden[:, :-1] = delta_hidden @ inputs
+        grad_hidden[:, -1] = delta_hidden.sum(axis=1)
         return e, grad
 
     return objective
+
+
+def loss(model: MlpModel, inputs, targets) -> float:
+    """Average error energy (1/2N) * sum of squared output errors, as the
+    training objective computes it."""
+    inputs, targets = _patterns(model, inputs, targets)
+    objective = _objective(model.n_in, model.n_hidden, inputs, targets)
+    return objective(model.flatten())[0]
 
 
 def gradient(model: MlpModel, inputs, targets) -> np.ndarray:

@@ -686,7 +686,8 @@ def read_patterns_csv(path) -> list:
     """Inverse of write_patterns_csv; returns a list of WellData.
 
     Blank lines are skipped.  A row that is not a well id and five numbers
-    is a DataError naming its `path:line`.
+    is a DataError naming its `path:line`, and so is a file with no rows
+    after its header.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -696,7 +697,7 @@ def read_patterns_csv(path) -> list:
     lines = body.split("\n")
     rows = [row for row in map(str.strip, lines) if row]
     if not rows:
-        return []
+        raise DataError(f"{path}: no pattern rows after the header")
     try:
         table = _parse_pattern_rows(rows)
     except ValueError:

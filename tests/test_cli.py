@@ -108,6 +108,18 @@ class TestExitCodes:
         assert run("metrics", path) == 3
         assert f"{path}:{2 + text.count(chr(10))}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "metrics", "regularize"])
+    def test_header_only_patterns_is_3(self, workdir, capsys, command):
+        # a header and no pattern rows is no pattern set, for every consumer
+        path = workdir / "header_only.csv"
+        path.write_text("well,time_ms,imp,amp,freq,sf\n\n")
+        outputs = {"train": ["--out", workdir / "unused.json"],
+                   "metrics": [],
+                   "regularize": ["--method", "ft", "--out", workdir / "unused.csv",
+                                  "--report", workdir / "unused_report.json"]}
+        assert run(command, path, *outputs[command]) == 3
+        assert str(path) in capsys.readouterr().err
+
     def test_malformed_velocity_is_3(self, workdir, bench):
         vel = workdir / "three_columns.csv"
         vel.write_text("depth_m,time_ms\n1,2,3\n")

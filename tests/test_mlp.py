@@ -149,18 +149,21 @@ class TestGradient:
 
 def reference_loss_and_gradient(model, X, d):
     """Average error energy and its gradient as two separate passes,
-    written out operation by operation: the fused objective must keep this
-    floating-point order exactly."""
+    written out operation by operation in the unit-major layout (hidden
+    units × patterns): the fused objective must keep this floating-point
+    order exactly."""
     n = len(d)
-    hidden = np.tanh(X @ model.w_hidden[:, :-1].T + model.w_hidden[:, -1])
-    out = 1.0 / (1.0 + np.exp(-(hidden @ model.w_out[:-1] + model.w_out[-1])))
+    w_hidden, w_out = model.w_hidden, model.w_out
+    hidden = np.tanh(w_hidden[:, :-1] @ np.ascontiguousarray(X.T)
+                     + w_hidden[:, -1:])
+    out = 1.0 / (1.0 + np.exp(-(w_out[:-1] @ hidden + w_out[-1])))
     err = d - out
     e = float(np.dot(err, err) / (2.0 * n))
     delta_out = -err * out * (1.0 - out) / n
-    grad_out = np.concatenate([hidden.T @ delta_out, [delta_out.sum()]])
-    delta_hidden = np.outer(delta_out, model.w_out[:-1]) * (1.0 - hidden ** 2)
-    grad_hidden = np.hstack([delta_hidden.T @ X,
-                             delta_hidden.sum(axis=0)[:, None]])
+    grad_out = np.concatenate([hidden @ delta_out, [delta_out.sum()]])
+    delta_hidden = np.outer(w_out[:-1], delta_out) * (1.0 - hidden ** 2)
+    grad_hidden = np.hstack([delta_hidden @ X,
+                             delta_hidden.sum(axis=1)[:, None]])
     return e, np.concatenate([grad_hidden.ravel(), grad_out])
 
 
@@ -188,6 +191,19 @@ class TestObjective:
             grads.append((g, g_ref))
         # each call hands back its own gradient array
         np.testing.assert_array_equal(*grads[0])
+
+    @pytest.mark.parametrize("n_hidden", [1, 5, 10])
+    @pytest.mark.parametrize("n_rows", [1, 37, 1427])
+    def test_loss_and_gradient_are_the_objective(self, n_hidden, n_rows):
+        # one definition of the training loss: the public helpers evaluate
+        # the objective that SCG minimizes, bit for bit
+        rng = np.random.default_rng(1000 * n_hidden + n_rows)
+        X = rng.standard_normal((n_rows, 3))
+        d = rng.uniform(0.0, 1.0, n_rows)
+        model = init_model(3, n_hidden, seed=n_rows)
+        e, g = mlp._objective(3, n_hidden, X, d)(model.flatten())
+        assert loss(model, X, d) == e
+        np.testing.assert_array_equal(gradient(model, X, d), g)
 
 
 class TestScg:
