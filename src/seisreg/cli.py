@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import emdreg, metrics, mlp, pipeline, synthbench, volpost
+from . import emdreg, metrics, mlp, pipeline, volpost
 from .errors import ConfigError, DataError, DivergenceError
 from .formats.las import parse_las
 from .formats.segy import TraceLayout, parse_segy
@@ -44,6 +44,10 @@ def _cmd_convert(args):
 
 
 def _cmd_synth(args):
+    # synthbench pulls in scipy.signal and scipy.ndimage; no other command
+    # needs them
+    from . import synthbench
+
     params = synthbench.SynthFieldParams(
         seed=args.seed, n_inlines=args.inlines, n_xlines=args.xlines,
         n_samples=args.samples, layer_count=args.layers,

@@ -12,7 +12,6 @@ unhandled.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, DataError
 from .metrics import psd, spectral_entropy  # noqa: F401  only for perfbench/spans.py
@@ -87,6 +86,9 @@ def zero_crossings(values) -> int:
 def _mirrored_spline(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     """Natural cubic spline through extrema, with the two nearest extrema
     mirrored across each boundary, evaluated on 0..n-1."""
+    # imported here so that only EMD runs load scipy
+    from scipy.interpolate import CubicSpline
+
     left_n = min(2, len(idx))
     right_n = min(2, len(idx))
     xs = np.concatenate([

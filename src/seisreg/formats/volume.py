@@ -46,7 +46,7 @@ class SeismicVolume:
         expected = (len(self.inlines), len(self.xlines))
         if self.data.shape[:2] != expected or self.mask.shape != self.data.shape:
             raise DataError("grid dimensions do not match index lists")
-        if np.isnan(self.data[self.mask]).any():
+        if (np.isnan(self.data) & self.mask).any():
             raise DataError("NaN in valid samples; missing data must be masked")
 
     @property

@@ -96,7 +96,9 @@ def forward_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"input width {inputs.shape[1]} != n_in {model.n_in}"
         )
-    hidden = np.tanh(inputs @ model.w_hidden[:, :-1].T + model.w_hidden[:, -1])
+    hidden = inputs @ model.w_hidden[:, :-1].T
+    hidden += model.w_hidden[:, -1]
+    np.tanh(hidden, out=hidden)
     return logistic(hidden @ model.w_out[:-1] + model.w_out[-1])
 
 

@@ -86,38 +86,50 @@ def median_filter_3d(vol: SeismicVolume, window=3) -> SeismicVolume:
     shrunken (boundary or masked) neighbourhoods use the lower median of
     whatever is valid, and a voxel with nothing valid keeps its input value.
     The window cells are sorted one slab of inlines at a time, each slab at
-    most `BLOCK_ROWS` voxels (or one inline, if an inline is larger).
+    most `BLOCK_ROWS` voxels (or one inline, if an inline is larger); only
+    that slab is ever padded, never the whole volume.
     """
     if window < 1 or window % 2 == 0:
         raise DataError(f"window must be odd and >= 1, got {window}")
     edges = (window,) * 3
-    valid = np.pad(vol.mask, window // 2)
-    data = np.pad(vol.data, window // 2)
-    data[~valid] = np.inf
-    # valid neighbours per voxel, by one shifted sum per axis; the narrowest
-    # signed type that holds window**3 keeps count - 1 = -1 representable
-    counts = valid.astype(np.min_scalar_type(-window ** 3))
-    for axis in range(3):
-        n = counts.shape[axis] - window + 1
-        counts = sum(counts[(slice(None),) * axis + (slice(s, s + n),)]
-                     for s in range(window))
-    out = vol.data.copy()
+    half = window // 2
     n_inlines, n_xlines, n_samples = vol.data.shape
     step = min(n_inlines, max(1, BLOCK_ROWS // (n_xlines * n_samples)))
+    # one slab of step inlines padded by half a window on every side, refilled
+    # for each step: +inf at masked and out-of-bounds cells, and each cell's
+    # validity in the narrowest signed type that holds window**3, so that
+    # count - 1 = -1 stays representable
+    padded = (step + window - 1, n_xlines + window - 1, n_samples + window - 1)
+    slab = np.empty(padded)
+    valid = np.empty(padded, dtype=np.min_scalar_type(-window ** 3))
     # one row of window**3 cells per voxel of a slab, one buffer for every
     # slab; invalid cells sort to the top, so the lower median of k valid
     # values sits at index (k - 1) // 2.  Ties only swap values that
     # compare equal.
     buffer = np.empty((step, n_xlines, n_samples) + edges)
+    out = vol.data.copy()
     for i in range(0, n_inlines, step):
-        windows = sliding_window_view(data[i:i + step + window - 1], edges)
-        cells = buffer[:len(windows)]
+        rows = min(step, n_inlines - i)
+        lo, hi = max(i - half, 0), min(i + rows + half, n_inlines)
+        inner = (slice(lo - i + half, hi - i + half), slice(half, half + n_xlines),
+                 slice(half, half + n_samples))
+        slab.fill(np.inf)
+        np.copyto(slab[inner], vol.data[lo:hi], where=vol.mask[lo:hi])
+        valid.fill(0)
+        valid[inner] = vol.mask[lo:hi]
+        # valid neighbours per voxel, by one shifted sum per axis
+        counts = valid[:rows + window - 1]
+        for axis in range(3):
+            n = counts.shape[axis] - window + 1
+            counts = sum(counts[(slice(None),) * axis + (slice(s, s + n),)]
+                         for s in range(window))
+        windows = sliding_window_view(slab[:rows + window - 1], edges)
+        cells = buffer[:rows]
         cells[...] = windows
         cells = cells.reshape(windows.shape[:3] + (-1,))
         cells.sort(axis=-1)
-        k = counts[i:i + step]
-        picked = np.take_along_axis(cells, (k[..., None] - 1) // 2, axis=-1)
-        np.copyto(out[i:i + step], picked[..., 0], where=k > 0)
+        picked = np.take_along_axis(cells, (counts[..., None] - 1) // 2, axis=-1)
+        np.copyto(out[i:i + rows], picked[..., 0], where=counts > 0)
     return SeismicVolume(
         inlines=vol.inlines.copy(),
         xlines=vol.xlines.copy(),

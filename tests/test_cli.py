@@ -1,6 +1,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -170,6 +172,23 @@ class TestExitCodes:
         bad.write_bytes(bytes(blob))
         assert run("filter", "--in", bad, "--out", workdir / "unused.svol") == 3
 
+    @pytest.mark.parametrize(
+        "section", ["header", "name", "inlines", "xlines", "mask", "samples"])
+    def test_truncated_svol_is_3(self, workdir, bench, section):
+        blob = (bench / "imp.svol").read_bytes()
+        n_il, n_xl, ns, name_len = struct.unpack_from("<4I", blob, 8)
+        sizes = {"header": 64, "name": name_len, "inlines": 4 * n_il,
+                 "xlines": 4 * n_xl, "mask": n_il * n_xl * ns,
+                 "samples": 8 * n_il * n_xl * ns}
+        start = 0
+        for name, size in sizes.items():
+            if name == section:
+                break
+            start += size
+        bad = workdir / f"cut_{section}.svol"
+        bad.write_bytes(blob[:start + sizes[section] // 2])
+        assert run("filter", "--in", bad, "--out", workdir / "unused.svol") == 3
+
     @pytest.mark.parametrize("offset", [0, 238, 239])
     def test_header_offset_outside_trace_header_is_2(self, workdir, offset):
         sgy = workdir / "offsets.sgy"
@@ -335,3 +354,36 @@ class TestEndToEnd:
         assert run("report", outdir / "report.json") == 0
         out = capsys.readouterr().out
         assert "# validation per well" in out
+
+
+def _modules_after(code):
+    """The top-level packages a fresh interpreter holds after running code."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport sys\nprint(sorted({m.split('.')[0] for m in sys.modules}))"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+class TestImports:
+    """scipy serves only `seisreg synth` and the EMD engine; no other
+    command pays for loading it.  Each check runs in a fresh interpreter,
+    because this one has imported synthbench for the fixtures."""
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        assert "'scipy'" not in _modules_after(
+            "import seisreg.cli, seisreg.pipeline")
+
+    def test_ft_run_with_predict_loads_no_scipy(self, workdir, bench):
+        cfg = workdir / "noscipy.cfg"
+        cfg.write_text(synthbench.config_text(bench))
+        argv = ["run", "--config", str(cfg), "--set", "method=ft",
+                "--set", "predict=true", "--set", "max_iters=20",
+                "--set", "max_attempts=1",
+                "--set", f"outdir={workdir / 'noscipy'}"]
+        modules = _modules_after(
+            f"from seisreg import cli\nassert cli.main({argv!r}) == 0")
+        assert (workdir / "noscipy" / "sf_pred_med.svol").is_file()
+        assert "'scipy'" not in modules

@@ -1,4 +1,6 @@
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from seisreg.formats import (
     write_las,
 )
 from seisreg.formats.las import LasParseError
+from seisreg.formats.svol import BadVolumeFile, read_svol, write_svol
 from seisreg.formats.volume import SeismicVolume
 
 
@@ -221,6 +224,16 @@ class TestLas:
         np.testing.assert_array_equal(log.rows, again.rows)
 
 
+def traced_peak(call):
+    """Peak bytes allocated while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSvol:
     def _volume(self):
         rng = np.random.default_rng(11)
@@ -244,3 +257,76 @@ class TestSvol:
         np.testing.assert_array_equal(vol.inlines, again.inlines)
         assert (vol.t0_ms, vol.dt_ms, vol.attribute_name) == \
             (again.t0_ms, again.dt_ms, again.attribute_name)
+
+    def test_write_matches_encode(self, tmp_path):
+        vol = self._volume()
+        path = tmp_path / "v.svol"
+        write_svol(path, vol)
+        assert path.read_bytes() == encode_svol(vol)
+
+    # a cut inside each section of the 2x3x5 volume named "imp": header
+    # 0-64, name 64-67, inlines 67-75, xlines 75-87, mask 87-117, samples
+    # 117-357 (docs/format.md)
+    @pytest.mark.parametrize("cut", [0, 40, 65, 70, 80, 100, 200, 356])
+    def test_truncated_file_is_bad_volume(self, tmp_path, cut):
+        blob = encode_svol(self._volume())
+        assert len(blob) == 357
+        with pytest.raises(BadVolumeFile):
+            decode_svol(blob[:cut])
+        path = tmp_path / "cut.svol"
+        path.write_bytes(blob[:cut])
+        with pytest.raises(BadVolumeFile):
+            read_svol(path)
+
+    def test_non_regular_file_is_bad_volume(self):
+        # its size cannot be checked before the arrays are allocated
+        with pytest.raises(BadVolumeFile, match="not a regular file"):
+            read_svol(os.devnull)
+
+    @pytest.mark.parametrize("dims", [(4096, 4096, 64), (2 ** 32 - 1,) * 3])
+    def test_oversized_header_fails_before_allocating(self, tmp_path, dims):
+        header = struct.pack("<8sIIII dd", b"SVOL0001", *dims, 0, 0.0, 2.0)
+        path = tmp_path / "huge.svol"
+        path.write_bytes(header.ljust(64, b"\x00") + b"\x00" * 1000)
+
+        def attempt():
+            with pytest.raises(BadVolumeFile, match="expected"):
+                read_svol(path)
+
+        assert traced_peak(attempt) < 1 << 20
+
+    def test_any_nonzero_mask_byte_is_valid(self):
+        vol = self._volume()
+        blob = bytearray(encode_svol(vol))
+        mask_at = 64 + 3 + 4 * (2 + 3)
+        # [1, 2, 0] is masked out; [0, 0, 0] is valid
+        blob[mask_at + (1 * 3 + 2) * 5] = 2
+        blob[mask_at] = 255
+        again = decode_svol(bytes(blob))
+        expected = vol.mask.copy()
+        expected[1, 2, 0] = True
+        np.testing.assert_array_equal(again.mask, expected)
+        assert again.mask.view(np.uint8).max() == 1
+
+
+class TestSvolMemory:
+    """The reader holds the volume once and the writer not at all."""
+
+    def _file(self, tmp_path):
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((32, 32, 128))
+        vol = SeismicVolume(inlines=np.arange(32), xlines=np.arange(32),
+                            t0_ms=0.0, dt_ms=2.0, data=data,
+                            attribute_name="imp", mask=data > -2.0)
+        path = tmp_path / "v.svol"
+        write_svol(path, vol)
+        return vol, path
+
+    def test_read_peak(self, tmp_path):
+        _, path = self._file(tmp_path)
+        assert traced_peak(lambda: read_svol(path)) <= 1.3 * path.stat().st_size
+
+    def test_write_peak(self, tmp_path):
+        vol, path = self._file(tmp_path)
+        assert traced_peak(lambda: write_svol(path, vol)) <= \
+            0.05 * path.stat().st_size

@@ -240,7 +240,8 @@ class TestBlocks:
     def test_peak_memory_is_a_few_volumes(self, stage):
         # in one pass over the whole volume the hidden activations
         # (predict) or the 27 window cells (median) alone take 26-32 times
-        # the volume's bytes
+        # the volume's bytes; the median holds its output, one sort buffer
+        # of at most BLOCK_ROWS voxels and one padded slab of inlines
         rng = np.random.default_rng(8)
         shape = (64, 64, 128)
         attrs = [make_volume(rng.uniform(0, 2, shape), name=n)
@@ -254,7 +255,7 @@ class TestBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * attrs[0].data.nbytes
+        assert peak < {"predict": 10, "median": 6}[stage] * attrs[0].data.nbytes
 
 
 class TestHeatmapCsv:
