@@ -17,6 +17,7 @@ from .formats.las import parse_las
 from .formats.segy import TraceLayout, parse_segy
 from .formats.svol import read_svol, write_svol
 from .formats.volume import volume_from_traces
+from .synthparams import SynthFieldParams
 
 
 def _cmd_convert(args):
@@ -48,7 +49,7 @@ def _cmd_synth(args):
     # needs them
     from . import synthbench
 
-    params = synthbench.SynthFieldParams(
+    params = SynthFieldParams(
         seed=args.seed, n_inlines=args.inlines, n_xlines=args.xlines,
         n_samples=args.samples, layer_count=args.layers,
         wavelet_center_freq_hz=args.wavelet_freq, noise_level=args.noise)
@@ -64,6 +65,11 @@ def _well_configs(args):
         parts = spec.split(":")
         if len(parts) != 3:
             raise ConfigError(f"--well needs ID:las_path:velocity_csv, got {spec!r}")
+        # the id is the first column of the pattern CSV that prep writes
+        if "," in parts[0]:
+            raise ConfigError(f"--well id {parts[0]!r} contains a comma")
+        if parts[0] in (w.well_id for w in wells):
+            raise ConfigError(f"--well: repeated well id {parts[0]!r}")
         wells.append(pipeline.WellConfig(well_id=parts[0], las_path=parts[1],
                                          velocity_path=parts[2]))
     return wells
@@ -232,19 +238,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--las", default="")
     p.add_argument("--out", required=True)
     p.add_argument("--attribute", default="")
-    p.add_argument("--inline-byte", type=int, default=189)
-    p.add_argument("--xline-byte", type=int, default=193)
+    p.add_argument("--inline-byte", type=int,
+                   default=TraceLayout.inline_byte_offset)
+    p.add_argument("--xline-byte", type=int,
+                   default=TraceLayout.xline_byte_offset)
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("synth", help="generate the synthetic benchmark field")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--inlines", type=int, default=16)
-    p.add_argument("--xlines", type=int, default=16)
-    p.add_argument("--samples", type=int, default=116)
-    p.add_argument("--layers", type=int, default=48)
-    p.add_argument("--wavelet-freq", type=float, default=40.0)
-    p.add_argument("--noise", type=float, default=0.02)
+    p.add_argument("--inlines", type=int, default=SynthFieldParams.n_inlines)
+    p.add_argument("--xlines", type=int, default=SynthFieldParams.n_xlines)
+    p.add_argument("--samples", type=int, default=SynthFieldParams.n_samples)
+    p.add_argument("--layers", type=int, default=SynthFieldParams.layer_count)
+    p.add_argument("--wavelet-freq", type=float,
+                   default=SynthFieldParams.wavelet_center_freq_hz)
+    p.add_argument("--noise", type=float,
+                   default=SynthFieldParams.noise_level)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("prep", help="LAS + velocity + volumes to pattern CSV")

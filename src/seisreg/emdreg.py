@@ -26,17 +26,18 @@ class P1OutOfRange(ConfigError):
     pass
 
 
+# sifting caps: envelope subtractions per IMF, and IMFs per decomposition
+MAX_SIFT_ITERS = 50
+MAX_IMFS = 16
+
+
 @dataclass
 class SiftParams:
     sd_threshold: float = 0.2
-    max_sift_iters: int = 50
-    max_imfs: int = 16
 
     def __post_init__(self):
         if not 0.0 < self.sd_threshold < 1.0:
             raise ConfigError("sd_threshold must be in (0, 1)")
-        if self.max_sift_iters < 1:
-            raise ConfigError("max_sift_iters must be >= 1")
 
 
 @dataclass
@@ -129,7 +130,7 @@ def _sift_one(residue: np.ndarray, params: SiftParams):
     """Extract one IMF from the running residue, or None when the residue
     cannot support envelopes (normal termination)."""
     h = residue
-    for iteration in range(params.max_sift_iters):
+    for iteration in range(MAX_SIFT_ITERS):
         try:
             m = envelope_mean(h)
         except TooFewExtrema:
@@ -151,7 +152,7 @@ def emd(series: TimeSeries, params: SiftParams | None = None) -> ImfSet:
         raise DataError(f"need at least 16 samples, got {len(series)}")
     residue = series.values.copy()
     imfs = []
-    while len(imfs) < params.max_imfs:
+    while len(imfs) < MAX_IMFS:
         maxima, minima = find_extrema(residue)
         if len(maxima) + len(minima) < 2:
             break

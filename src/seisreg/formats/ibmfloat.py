@@ -5,24 +5,13 @@ import math
 import numpy as np
 
 
-def ibm_to_ieee(word: int) -> float:
-    """Decode one 32-bit IBM hex float bit pattern to a Python float.
+def ibm_to_ieee_array(words) -> np.ndarray:
+    """Decode an array of 32-bit IBM hex float bit patterns to float64.
 
     Layout: sign bit, 7-bit excess-64 base-16 exponent, 24-bit fraction.
     Value is (-1)^sign * 16^(exponent-64) * fraction/2^24.  A zero fraction
     decodes to 0.0 regardless of the exponent bits.
     """
-    sign = (word >> 31) & 0x1
-    exponent = (word >> 24) & 0x7F
-    fraction = word & 0x00FFFFFF
-    if fraction == 0:
-        return 0.0
-    value = (fraction / float(1 << 24)) * 16.0 ** (exponent - 64)
-    return -value if sign else value
-
-
-def ibm_to_ieee_array(words) -> np.ndarray:
-    """Vectorized ibm_to_ieee over a uint32 array."""
     words = np.asarray(words, dtype=np.uint32)
     sign = np.where(words >> 31 == 0, 1.0, -1.0)
     exponent = ((words >> 24) & 0x7F).astype(np.int64)

@@ -7,7 +7,7 @@ values so written logs re-read bit-exactly.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +50,6 @@ class LasLog:
     curves: list                    # of LasCurve, in column order
     null_value: float
     rows: np.ndarray                # [n_rows, n_curves] float64, NaN = missing
-    version: str = "2.0"
-    extra_sections: dict = field(default_factory=dict)
 
     @property
     def curve_names(self):
@@ -169,7 +167,7 @@ def parse_las(text: str) -> LasLog:
         raise LasParseError("depth column is not strictly monotone")
 
     return LasLog(well_meta=well_meta, curves=curves, null_value=null_value,
-                  rows=table, version=version)
+                  rows=table)
 
 
 def write_las(log: LasLog) -> str:

@@ -3,11 +3,12 @@
 
 Trace-header byte positions for inline/xline default to 189 and 193
 (1-based), the rev-1 convention, but vendors disagree so they are
-configuration.  The 3200-byte EBCDIC textual header is kept verbatim.
+configuration.  The 3200-byte EBCDIC textual header and every other
+trace-header field are skipped.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,18 +50,14 @@ class SegyBinaryHeader:
 
 
 @dataclass
-class SegyTrace:
-    header_bytes: bytes
-    inline: int
-    xline: int
-    samples: np.ndarray
-
-
-@dataclass
 class SegyVolumeRaw:
-    textual_header: bytes
+    """The traces of a file in file order: trace k sits at inline
+    `inlines[k]`, xline `xlines[k]` and holds `samples[k]`."""
+
     binary_header: SegyBinaryHeader
-    traces: list = field(default_factory=list)
+    inlines: np.ndarray      # int32 [n_traces]
+    xlines: np.ndarray       # int32 [n_traces]
+    samples: np.ndarray      # float64 [n_traces, samples_per_trace]
 
 
 @dataclass
@@ -79,13 +76,12 @@ class TraceLayout:
 
 
 def parse_segy(data: bytes, layout: TraceLayout | None = None) -> SegyVolumeRaw:
-    """Parse SEG-Y bytes into headers plus decoded traces."""
+    """Parse SEG-Y bytes into the binary header plus decoded traces."""
     layout = layout or TraceLayout()
     if len(data) < TEXTUAL_HEADER_LEN + BINARY_HEADER_LEN:
         raise TruncatedFile(
             f"file is {len(data)} bytes, shorter than the 3600-byte header region"
         )
-    textual = data[:TEXTUAL_HEADER_LEN]
     binary = data[TEXTUAL_HEADER_LEN:TEXTUAL_HEADER_LEN + BINARY_HEADER_LEN]
 
     def u16(pos_1based):
@@ -105,24 +101,27 @@ def parse_segy(data: bytes, layout: TraceLayout | None = None) -> SegyVolumeRaw:
     if ns <= 0:
         raise InconsistentTraceLength("samples per trace must be positive")
     stride = TRACE_HEADER_LEN + 4 * ns
-    region = data[TEXTUAL_HEADER_LEN + BINARY_HEADER_LEN:]
-    if len(region) % stride != 0:
+    region_len = len(data) - TEXTUAL_HEADER_LEN - BINARY_HEADER_LEN
+    if region_len % stride != 0:
         raise InconsistentTraceLength(
-            f"trace region of {len(region)} bytes is not a multiple of "
+            f"trace region of {region_len} bytes is not a multiple of "
             f"{stride} (240 + 4*{ns})"
         )
+    # one row per trace: its 240 header bytes, then its 4*ns sample bytes
+    traces = np.frombuffer(data, dtype=np.uint8,
+                           offset=TEXTUAL_HEADER_LEN + BINARY_HEADER_LEN)
+    traces = traces.reshape(-1, stride)
 
-    traces = []
-    for start in range(0, len(region), stride):
-        th = region[start:start + TRACE_HEADER_LEN]
-        payload = region[start + TRACE_HEADER_LEN:start + stride]
-        inline = struct.unpack_from(">i", th, layout.inline_byte_offset - 1)[0]
-        xline = struct.unpack_from(">i", th, layout.xline_byte_offset - 1)[0]
-        if header.format_code == 5:
-            samples = np.frombuffer(payload, dtype=">f4").astype(np.float64)
-        else:
-            words = np.frombuffer(payload, dtype=">u4").astype(np.uint32)
-            samples = ibm_to_ieee_array(words)
-        traces.append(SegyTrace(header_bytes=th, inline=inline, xline=xline,
-                                samples=samples))
-    return SegyVolumeRaw(textual_header=textual, binary_header=header, traces=traces)
+    def header_int32(pos_1based):
+        field = traces[:, pos_1based - 1:pos_1based + 3]
+        return np.ascontiguousarray(field).view(">i4")[:, 0].astype(np.int32)
+
+    payload = traces[:, TRACE_HEADER_LEN:]
+    if header.format_code == 5:
+        samples = payload.view(">f4").astype(np.float64)
+    else:
+        samples = ibm_to_ieee_array(payload.view(">u4"))
+    return SegyVolumeRaw(binary_header=header,
+                         inlines=header_int32(layout.inline_byte_offset),
+                         xlines=header_int32(layout.xline_byte_offset),
+                         samples=samples)

@@ -69,9 +69,6 @@ class SeismicVolume:
             raise DataError(f"xline {xline} not in volume")
         return i
 
-    def trace(self, inline: int, xline: int) -> np.ndarray:
-        return self.data[self.inline_index(inline), self.xline_index(xline)]
-
     def same_geometry(self, other: "SeismicVolume") -> bool:
         return (
             np.array_equal(self.inlines, other.inlines)
@@ -85,22 +82,24 @@ class SeismicVolume:
 def volume_from_traces(raw) -> SeismicVolume:
     """Assemble a dense SeismicVolume over the Cartesian closure of the
     observed inlines x xlines.  Traces absent from the file are masked out,
-    not zero-filled as data.
+    not zero-filled as data.  A cell read twice is an error, named at its
+    earliest second occurrence in file order.
     """
-    if not raw.traces:
+    if not len(raw.inlines):
         raise DataError("no traces")
-    inlines = np.unique([t.inline for t in raw.traces]).astype(np.int32)
-    xlines = np.unique([t.xline for t in raw.traces]).astype(np.int32)
+    inlines, i = np.unique(raw.inlines, return_inverse=True)
+    xlines, j = np.unique(raw.xlines, return_inverse=True)
+    cells = i * len(xlines) + j
+    _, first = np.unique(cells, return_index=True)
+    if len(first) < len(cells):
+        k = np.setdiff1d(np.arange(len(cells)), first)[0]
+        raise DuplicateTrace(f"duplicate trace at inline {raw.inlines[k]}, "
+                             f"xline {raw.xlines[k]}")
     ns = raw.binary_header.samples_per_trace
     data = np.zeros((len(inlines), len(xlines), ns))
     mask = np.zeros(data.shape, dtype=bool)
-    for t in raw.traces:
-        i = int(np.searchsorted(inlines, t.inline))
-        j = int(np.searchsorted(xlines, t.xline))
-        if mask[i, j, 0]:
-            raise DuplicateTrace(f"duplicate trace at inline {t.inline}, xline {t.xline}")
-        data[i, j, :] = t.samples
-        mask[i, j, :] = True
+    data.reshape(-1, ns)[cells] = raw.samples
+    mask.reshape(-1, ns)[cells] = True
     return SeismicVolume(
         inlines=inlines,
         xlines=xlines,

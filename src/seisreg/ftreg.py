@@ -22,15 +22,6 @@ class BandTooNarrow(DataError):
 
 
 @dataclass
-class Spectrum:
-    coeffs: np.ndarray   # complex, full (two-sided) DFT
-    fs_hz: float
-
-    def __len__(self):
-        return len(self.coeffs)
-
-
-@dataclass
 class FtRegParams:
     zeta_max_hz: float
 
@@ -39,29 +30,13 @@ class FtRegParams:
             raise ConfigError("zeta_max_hz must be positive")
 
 
-def dft(series: TimeSeries) -> Spectrum:
-    """Full DFT X(k) = sum_j x(j) * exp(-2*pi*i*j*k/N)."""
-    if len(series) < 2:
-        raise DataError("need at least 2 samples")
-    return Spectrum(coeffs=np.fft.fft(series.values), fs_hz=series.fs_hz)
-
-
-def idft(spectrum: Spectrum, t0_ms: float = 0.0) -> TimeSeries:
-    """Inverse DFT; the imaginary residue must be numerically negligible."""
-    values = np.fft.ifft(spectrum.coeffs)
-    imag_rms = np.sqrt(np.mean(values.imag ** 2))
-    if imag_rms > 1e-9:
-        raise DataError(f"inverse transform is not real (imag RMS {imag_rms:.3e})")
-    return TimeSeries(t0_ms=t0_ms, dt_ms=1000.0 / spectrum.fs_hz,
-                      values=values.real)
-
-
 def regularize_ft(target: TimeSeries, params: FtRegParams):
     """Zero every spectrum bin above the bandwidth parameter and rebuild.
 
     The band is closed: a bin exactly at the cutoff is retained.  Truncation
     is applied on |frequency| so conjugate pairs are zeroed together and the
-    output stays real.  Returns (regularized TimeSeries, detail dict).
+    output stays real; an imaginary residue above 1e-9 RMS is a data error.
+    Returns (regularized TimeSeries, detail dict).
     """
     n = len(target)
     if n < 8:
@@ -71,7 +46,6 @@ def regularize_ft(target: TimeSeries, params: FtRegParams):
             f"zeta_max {params.zeta_max_hz} Hz must be below Nyquist "
             f"{target.fs_hz / 2} Hz"
         )
-    spectrum = dft(target)
     freqs = np.fft.fftfreq(n, d=1.0 / target.fs_hz)
     bin_hz = target.fs_hz / n
     keep = np.abs(freqs) <= params.zeta_max_hz + 1e-9 * bin_hz
@@ -79,8 +53,14 @@ def regularize_ft(target: TimeSeries, params: FtRegParams):
         raise BandTooNarrow(
             f"only {int(keep.sum())} bin(s) inside {params.zeta_max_hz} Hz; need >= 3"
         )
-    truncated = np.where(keep, spectrum.coeffs, 0.0)
-    out = idft(Spectrum(coeffs=truncated, fs_hz=spectrum.fs_hz), t0_ms=target.t0_ms)
+    values = np.fft.ifft(np.where(keep, np.fft.fft(target.values), 0.0))
+    imag_rms = np.sqrt(np.mean(values.imag ** 2))
+    if imag_rms > 1e-9:
+        raise DataError(f"inverse transform is not real (imag RMS {imag_rms:.3e})")
+    # the output's dt is 1000 / fs_hz, which need not equal target.dt_ms
+    # bit for bit; the entropy report of the output reads that dt
+    out = TimeSeries(t0_ms=target.t0_ms, dt_ms=1000.0 / target.fs_hz,
+                     values=values.real)
     return out, {"zeta_max_hz": params.zeta_max_hz,
                  "retained_bins": int(keep.sum())}
 

@@ -77,14 +77,17 @@ def psd(series: TimeSeries) -> Psd:
     return Psd(freqs_hz=freqs, power=power)
 
 
+def _entropy_bits(prob: np.ndarray) -> float:
+    nz = prob[prob > 0]
+    return float(-(nz * np.log2(nz)).sum())
+
+
 def spectral_entropy(p: Psd) -> float:
     """Shannon entropy in bits of the PSD normalized to a probability vector."""
     total = p.power.sum()
     if total <= 0:
         raise ZeroPower("PSD has no power; entropy undefined")
-    prob = p.power / total
-    nz = prob[prob > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    return _entropy_bits(p.power / total)
 
 
 def series_entropy(series: TimeSeries) -> float:
@@ -98,11 +101,6 @@ def entropy_report(original: TimeSeries, regularized: TimeSeries,
     return {"entropy_original": series_entropy(original),
             "entropy_regularized": series_entropy(regularized),
             "entropy_predictor": series_entropy(predictor)}
-
-
-def _entropy_bits(prob: np.ndarray) -> float:
-    nz = prob[prob > 0]
-    return float(-(nz * np.log2(nz)).sum())
 
 
 def _binned_entropies(x, y, bins: int):
@@ -119,14 +117,10 @@ def _binned_entropies(x, y, bins: int):
             _entropy_bits(joint.ravel()))
 
 
-def mutual_information(x, y, bins: int = DEFAULT_MI_BINS) -> float:
-    """I(X;Y) in bits from a bins x bins equal-width histogram."""
-    hx, hy, hxy = _binned_entropies(x, y, bins)
-    return hx + hy - hxy
-
-
 def nmi(x, y, bins: int = DEFAULT_MI_BINS) -> float:
-    """Mutual information normalized by the smaller marginal entropy."""
+    """Mutual information I(X;Y) = H(X) + H(Y) - H(X,Y), in bits from a
+    bins x bins equal-width histogram, normalized by the smaller marginal
+    entropy."""
     hx, hy, hxy = _binned_entropies(x, y, bins)
     h_min = min(hx, hy)
     if h_min <= 0:

@@ -40,6 +40,10 @@ class DivergedNonFinite(DivergenceError):
         self.history = history
 
 
+# SCG stops once the steepest-descent direction is shorter than this
+GRAD_TOL = 1e-10
+
+
 def logistic(v):
     return 1.0 / (1.0 + np.exp(-v))
 
@@ -100,11 +104,6 @@ def forward_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     hidden += model.w_hidden[:, -1]
     np.tanh(hidden, out=hidden)
     return logistic(hidden @ model.w_out[:-1] + model.w_out[-1])
-
-
-def forward(model: MlpModel, x) -> float:
-    """Network output in (0, 1) for one input vector."""
-    return float(forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
 def _patterns(model: MlpModel, inputs, targets):
@@ -200,7 +199,6 @@ class ScgParams:
     lambda1: float = 1e-4
     max_iters: int = 500
     target_loss: float = 0.0
-    grad_tol: float = 1e-10
 
     def __post_init__(self):
         if not 0.0 < self.sigma <= 1e-4:
@@ -259,7 +257,7 @@ def scg_minimize(objective, w0: np.ndarray, params: ScgParams):
         history.final_loss = e_w
         history.stop_reason = "max_iters"
         return w, history
-    if float(np.linalg.norm(r)) < params.grad_tol:
+    if float(np.linalg.norm(r)) < GRAD_TOL:
         history.final_loss = e_w
         history.stop_reason = "gradient_zero"
         return w, history
@@ -320,7 +318,7 @@ def scg_minimize(objective, w0: np.ndarray, params: ScgParams):
         history.curvature.append(delta)
         history.restarted.append(restarted)
 
-        if float(np.linalg.norm(r)) < params.grad_tol:
+        if float(np.linalg.norm(r)) < GRAD_TOL:
             history.stop_reason = "gradient_zero"
             break
         if e_w <= params.target_loss:

@@ -84,13 +84,9 @@ class VelocityProfile:
         self._depths = depths
         self._times = times
 
-    @property
-    def depth_range(self):
-        return float(self._depths[0]), float(self._depths[-1])
-
     def time_at(self, depth_m) -> np.ndarray:
         depth_m = np.asarray(depth_m, dtype=np.float64)
-        lo, hi = self.depth_range
+        lo, hi = self._depths[0], self._depths[-1]
         if depth_m.min() < lo or depth_m.max() > hi:
             raise DepthOutOfRange(
                 f"depths [{depth_m.min()}, {depth_m.max()}] outside profile [{lo}, {hi}]"
@@ -200,21 +196,18 @@ class ZscoreStats:
                    std=np.asarray(d["std"], dtype=np.float64))
 
 
-def zscore(table, stats: ZscoreStats | None = None):
+def zscore(table):
     """Z-score each column with population variance.
 
-    Returns (scored table, stats).  When stats are supplied (prediction
-    time) they are applied unchanged so train and predict statistics match
-    bit for bit.
+    Returns (scored table, stats).  Prediction applies the same stats with
+    `ZscoreStats.apply`, so train and predict scoring match bit for bit.
     """
     table = np.atleast_2d(np.asarray(table, dtype=np.float64))
-    if stats is None:
-        mean = table.mean(axis=0)
-        std = table.std(axis=0)  # ddof=0
-        bad = np.nonzero(std == 0)[0]
-        if bad.size:
-            raise ZeroVariance(f"constant column(s) at index {bad.tolist()}")
-        stats = ZscoreStats(mean=mean, std=std)
+    std = table.std(axis=0)  # ddof=0
+    bad = np.nonzero(std == 0)[0]
+    if bad.size:
+        raise ZeroVariance(f"constant column(s) at index {bad.tolist()}")
+    stats = ZscoreStats(mean=table.mean(axis=0), std=std)
     return stats.apply(table), stats
 
 
@@ -244,8 +237,9 @@ class MinMaxStats:
         return cls(**d)
 
 
-def minmax_to_band(series, lo: float = 0.1, hi: float = 0.9):
-    """Affine map sending observed min -> lo and max -> hi.
+def minmax_to_band(series):
+    """Affine map sending the observed min and max to the ends of the
+    MinMaxStats band, 0.1 and 0.9.
 
     Keeps the target off the saturation tails of the output sigmoid.
     Returns (mapped series, stats); stats.invert de-normalizes predictions.
@@ -254,7 +248,7 @@ def minmax_to_band(series, lo: float = 0.1, hi: float = 0.9):
     mn, mx = float(series.min()), float(series.max())
     if mx <= mn:
         raise DegenerateRange(f"series range is degenerate: min == max == {mn}")
-    stats = MinMaxStats(data_min=mn, data_max=mx, lo=lo, hi=hi)
+    stats = MinMaxStats(data_min=mn, data_max=mx)
     return stats.apply(series), stats
 
 
@@ -291,7 +285,6 @@ class DatasetSplit:
     train: PatternSet
     test: PatternSet
     validation: PatternSet
-    seed: int
 
 
 def split_patterns(patterns: PatternSet, seed: int) -> DatasetSplit:
@@ -321,5 +314,4 @@ def split_patterns(patterns: PatternSet, seed: int) -> DatasetSplit:
         train=patterns.take(np.array(train_idx)),
         test=patterns.take(leftover[:half]),
         validation=patterns.take(leftover[half:]),
-        seed=seed,
     )

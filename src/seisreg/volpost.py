@@ -90,7 +90,7 @@ def median_filter_3d(vol: SeismicVolume, window=3) -> SeismicVolume:
     that slab is ever padded, never the whole volume.
     """
     if window < 1 or window % 2 == 0:
-        raise DataError(f"window must be odd and >= 1, got {window}")
+        raise ConfigError(f"window must be odd and >= 1, got {window}")
     edges = (window,) * 3
     half = window // 2
     n_inlines, n_xlines, n_samples = vol.data.shape

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from seisreg import cli, mlp, pipeline, synthbench
+from seisreg.formats.segy import TraceLayout
 from seisreg.formats.svol import read_svol
 from seisreg.resample import MinMaxStats, ZscoreStats
+from seisreg.synthparams import SynthFieldParams
 from test_formats import make_segy
 
 
@@ -202,8 +204,37 @@ class TestExitCodes:
             "wells = A,B,C,D", "wells = A,A,B"))
         assert run("run", "--config", cfg) == 2
 
+    @pytest.mark.parametrize("ids", [("A", "A"), ("A,B",), ("B", "A", "B")])
+    def test_bad_prep_well_id_is_2(self, workdir, bench, ids):
+        # a pattern CSV with these ids would be rejected by every reader
+        out = workdir / "bad_ids.csv"
+        args = ["prep", "--imp", bench / "imp.svol", "--amp", bench / "amp.svol",
+                "--freq", bench / "freq.svol", "--out", out]
+        for well_id in ids:
+            args += ["--well", f"{well_id}:{bench}/well_A.las:{bench}/vel_A.csv"]
+        assert run(*args) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window", [2, 0, -1])
+    def test_bad_filter_window_is_2(self, workdir, bench, window):
+        assert run("filter", "--in", bench / "imp.svol", "--window", window,
+                   "--out", workdir / "unused.svol") == 2
+
 
 class TestFlagDefaults:
+    @pytest.mark.parametrize("argv, defaults, flags", [
+        (["convert", "--out", "x.svol"], TraceLayout(),
+         {"inline_byte": "inline_byte_offset", "xline_byte": "xline_byte_offset"}),
+        (["synth", "--seed", "0", "--out", "d"], SynthFieldParams(seed=0),
+         {"inlines": "n_inlines", "xlines": "n_xlines", "samples": "n_samples",
+          "layers": "layer_count", "wavelet_freq": "wavelet_center_freq_hz",
+          "noise": "noise_level"}),
+    ])
+    def test_defaults_are_dataclass_defaults(self, argv, defaults, flags):
+        args = cli.build_parser().parse_args(argv)
+        for dest, attr in flags.items():
+            assert getattr(args, dest) == getattr(defaults, attr), (argv[0], dest)
+
     def test_defaults_are_run_config_defaults(self):
         parser = cli.build_parser()
         cases = [

@@ -154,7 +154,7 @@ class TestEmd:
         with pytest.raises(ConfigError):
             SiftParams(sd_threshold=1.5)
         with pytest.raises(ConfigError):
-            SiftParams(max_sift_iters=0)
+            SiftParams(sd_threshold=0.0)
 
 
 class TestRegularizeEmd:

@@ -16,13 +16,14 @@ from seisreg.formats import (
     VersionUnsupported,
     decode_svol,
     encode_svol,
-    ibm_to_ieee,
+    ibm_to_ieee_array,
     ieee_to_ibm,
     parse_las,
     parse_segy,
     volume_from_traces,
     write_las,
 )
+from seisreg.errors import DataError
 from seisreg.formats.las import LasParseError
 from seisreg.formats.svol import BadVolumeFile, read_svol, write_svol
 from seisreg.formats.volume import SeismicVolume
@@ -53,6 +54,11 @@ def make_segy(traces, fmt=5, sample_interval_us=2000, samples_per_trace=None,
     return textual + bytes(binary) + body
 
 
+def ibm_to_ieee(word):
+    """One decoded word, through the array decoder."""
+    return float(ibm_to_ieee_array([word])[0])
+
+
 class TestIbmFloat:
     def test_zero_pattern(self):
         assert ibm_to_ieee(0x00000000) == 0.0
@@ -71,13 +77,14 @@ class TestIbmFloat:
     def test_exact_against_formula(self):
         # decoding is exact for every 24-bit fraction within double range
         rng = np.random.default_rng(42)
-        for _ in range(500):
-            sign = int(rng.integers(0, 2))
-            exponent = int(rng.integers(40, 90))
-            fraction = int(rng.integers(1, 1 << 24))
-            word = (sign << 31) | (exponent << 24) | fraction
-            expected = (-1.0) ** sign * 16.0 ** (exponent - 64) * fraction / 2.0 ** 24
-            assert ibm_to_ieee(word) == expected
+        sign = rng.integers(0, 2, 500)
+        exponent = rng.integers(40, 90, 500)
+        fraction = rng.integers(1, 1 << 24, 500)
+        words = (sign << 31) | (exponent << 24) | fraction
+        expected = [(-1.0) ** s * 16.0 ** (e - 64) * f / 2.0 ** 24
+                    for s, e, f in zip(sign.tolist(), exponent.tolist(),
+                                       fraction.tolist())]
+        assert ibm_to_ieee_array(words).tolist() == expected
 
     def test_roundtrip_dyadics_exact(self):
         for v in (1.0, -1.0, 0.5, 0.0625, 118.0, -0.25):
@@ -86,7 +93,7 @@ class TestIbmFloat:
     def test_roundtrip_relative_error(self):
         rng = np.random.default_rng(1)
         values = rng.uniform(-5000.0, 5000.0, 1000)
-        decoded = np.array([ibm_to_ieee(ieee_to_ibm(v)) for v in values])
+        decoded = ibm_to_ieee_array([ieee_to_ibm(v) for v in values])
         assert np.max(np.abs((decoded - values) / values)) < 1e-6
 
 
@@ -95,14 +102,13 @@ class TestSegy:
         raw = parse_segy(make_segy([(1, 1, [0.0, 1.0, -1.0, 0.5])]))
         assert raw.binary_header.format_code == 5
         assert raw.binary_header.sample_interval_us == 2000
-        np.testing.assert_array_equal(raw.traces[0].samples, [0.0, 1.0, -1.0, 0.5])
+        np.testing.assert_array_equal(raw.samples, [[0.0, 1.0, -1.0, 0.5]])
 
     def test_ibm_encoding_matches_ieee(self):
         samples = [0.0, 1.0, -1.0, 0.5]
         ieee = parse_segy(make_segy([(1, 1, samples)], fmt=5))
         ibm = parse_segy(make_segy([(1, 1, samples)], fmt=1))
-        np.testing.assert_allclose(ibm.traces[0].samples, ieee.traces[0].samples,
-                                   rtol=1e-6, atol=0)
+        np.testing.assert_allclose(ibm.samples, ieee.samples, rtol=1e-6, atol=0)
 
     def test_dual_encoding_volumes_agree(self):
         rng = np.random.default_rng(5)
@@ -131,7 +137,7 @@ class TestSegy:
         data = make_segy([(7, 9, [1.0, 2.0])])
         raw = parse_segy(data, TraceLayout(inline_byte_offset=189,
                                            xline_byte_offset=193))
-        assert (raw.traces[0].inline, raw.traces[0].xline) == (7, 9)
+        assert (raw.inlines.tolist(), raw.xlines.tolist()) == ([7], [9])
 
 
 class TestVolumeFromTraces:
@@ -153,6 +159,70 @@ class TestVolumeFromTraces:
         raw = parse_segy(make_segy([(1, 1, [1.0, 2.0]), (1, 1, [3.0, 4.0])]))
         with pytest.raises(DuplicateTrace):
             volume_from_traces(raw)
+
+    def test_no_traces(self):
+        raw = parse_segy(make_segy([(1, 1, [1.0, 2.0])])[:3600])
+        with pytest.raises(DataError, match="no traces"):
+            volume_from_traces(raw)
+
+    @pytest.mark.parametrize("fmt", [5, 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_gappy_matches_reference(self, fmt, seed):
+        traces = shuffled_grid(seed)
+        vol = volume_from_traces(parse_segy(make_segy(traces, fmt=fmt)))
+        inlines, xlines, data, mask = reference_volume(traces)
+        assert vol.inlines.tolist() == inlines
+        assert vol.xlines.tolist() == xlines
+        np.testing.assert_array_equal(vol.data, data)
+        np.testing.assert_array_equal(vol.mask, mask)
+        assert (vol.t0_ms, vol.dt_ms) == (0.0, 2.0)
+
+    @pytest.mark.parametrize("fmt", [5, 1])
+    def test_duplicate_named_at_earliest_second_occurrence(self, fmt):
+        # traces A, B, B, A: B repeats first in file order
+        a, b = (3, 8, [1.0, 2.0]), (1, 9, [3.0, 4.0])
+        raw = parse_segy(make_segy([a, b, b, a], fmt=fmt))
+        with pytest.raises(DuplicateTrace, match="inline 1, xline 9$"):
+            volume_from_traces(raw)
+
+    @pytest.mark.parametrize("fmt", [5, 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicates_match_reference(self, fmt, seed):
+        rng = np.random.default_rng(100 + seed)
+        traces = shuffled_grid(seed)
+        for k in rng.choice(len(traces), 3, replace=False):
+            il, xl, _ = traces[k]
+            at = int(rng.integers(0, len(traces) + 1))
+            traces.insert(at, (il, xl, (rng.integers(-64, 64, 5) / 64).tolist()))
+        il, xl = reference_volume(traces)
+        with pytest.raises(DuplicateTrace, match=f"inline {il}, xline {xl}$"):
+            volume_from_traces(parse_segy(make_segy(traces, fmt=fmt)))
+
+
+def shuffled_grid(seed):
+    """A 4 x 5 grid of 5-sample traces in shuffled order with three traces
+    dropped.  The samples are multiples of 1/64, exact in IEEE and IBM."""
+    rng = np.random.default_rng(seed)
+    cells = [(il, xl) for il in (12, 3, 7, 5) for xl in (40, 41, 43, 44, 47)]
+    order = rng.permutation(len(cells))[:-3]
+    return [(*cells[k], (rng.integers(-6400, 6400, 5) / 64).tolist())
+            for k in order]
+
+
+def reference_volume(traces):
+    """One trace at a time: the (inline, xline) of the first repeat in file
+    order, or the sorted axes, the grid and its mask."""
+    inlines = sorted({il for il, _, _ in traces})
+    xlines = sorted({xl for _, xl, _ in traces})
+    data = np.zeros((len(inlines), len(xlines), len(traces[0][2])))
+    mask = np.zeros(data.shape, dtype=bool)
+    for il, xl, samples in traces:
+        i, j = inlines.index(il), xlines.index(xl)
+        if mask[i, j, 0]:
+            return il, xl
+        data[i, j] = samples
+        mask[i, j] = True
+    return inlines, xlines, data, mask
 
 
 MINIMAL_LAS = """~Version

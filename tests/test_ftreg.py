@@ -6,8 +6,6 @@ from seisreg.ftreg import (
     BandTooNarrow,
     FtRegParams,
     default_zeta_max,
-    dft,
-    idft,
     regularize_ft,
 )
 from seisreg.resample import TimeSeries
@@ -21,25 +19,42 @@ def brute_force_dft(x):
                      for k in range(n)])
 
 
+def brute_force_truncation(x, fs_hz, zeta_max_hz):
+    """Direct-sum DFT, every bin above zeta_max zeroed, direct-sum inverse."""
+    n = len(x)
+    coeffs = brute_force_dft(x)
+    freqs = np.array([k if k <= n // 2 else k - n for k in range(n)]) * fs_hz / n
+    coeffs[np.abs(freqs) > zeta_max_hz] = 0.0
+    omega = np.exp(2j * np.pi / n)
+    return np.array([sum(coeffs[k] * omega ** (j * k) for k in range(n)) / n
+                     for j in range(n)])
+
+
 class TestDft:
+    """The transform pair inside regularize_ft."""
+
     def test_inversion_non_power_of_two(self):
+        # 257 samples have no Nyquist bin: every bin lies below 499 Hz
         rng = np.random.default_rng(0)
         x = rng.standard_normal(257)
-        ts = TimeSeries(0.0, 1.0, x)
-        back = idft(dft(ts))
-        assert np.max(np.abs(back.values - x)) < 1e-10
+        out, detail = regularize_ft(TimeSeries(0.0, 1.0, x), FtRegParams(499.0))
+        assert detail["retained_bins"] == 257
+        assert np.max(np.abs(out.values - x)) < 1e-10
 
     def test_constant_is_dc_only(self):
-        spectrum = dft(TimeSeries(0.0, 1.0, np.full(8, 3.0)))
-        assert spectrum.coeffs[0] == pytest.approx(24.0)
-        assert np.abs(spectrum.coeffs[1:]).max() < 1e-12
+        # only the DC bin carries power, so the narrowest band keeps it all
+        out, detail = regularize_ft(TimeSeries(0.0, 1.0, np.full(8, 3.0)),
+                                    FtRegParams(125.0))
+        assert detail["retained_bins"] == 3
+        assert np.abs(out.values - 3.0).max() < 1e-12
 
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(64)
-        spectrum = dft(TimeSeries(0.0, 1.0, x))
-        np.testing.assert_allclose(spectrum.coeffs, brute_force_dft(x),
-                                   rtol=0, atol=1e-9)
+        out, _ = regularize_ft(TimeSeries(0.0, 1.0, x), FtRegParams(180.0))
+        expected = brute_force_truncation(x, 1000.0, 180.0)
+        assert np.abs(expected.imag).max() < 1e-9
+        np.testing.assert_allclose(out.values, expected.real, rtol=0, atol=1e-9)
 
 
 def two_tone(n=1024, dt_ms=1.0, k_low=10, k_high=100):
@@ -100,6 +115,16 @@ class TestRegularizeFt:
         ts = TimeSeries(0.0, 1.0, rng.standard_normal(256))
         out, _ = regularize_ft(ts, FtRegParams(90.0))
         assert np.dot(out.values, out.values) <= np.dot(ts.values, ts.values)
+
+    def test_output_dt_is_rebuilt_from_fs(self):
+        # 1000 / (1000 / dt) is not dt for this spacing; the output carries
+        # the rebuilt value
+        dt = 0.1185519986409347
+        assert 1000.0 / (1000.0 / dt) != dt
+        ts = TimeSeries(5.0, dt, np.sin(np.arange(64.0)))
+        out, _ = regularize_ft(ts, FtRegParams(0.25 * ts.fs_hz))
+        assert out.dt_ms == 1000.0 / ts.fs_hz
+        assert out.t0_ms == 5.0
 
     def test_band_too_narrow(self):
         ts = TimeSeries(0.0, 1.0, np.sin(np.arange(64.0)))

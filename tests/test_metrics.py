@@ -13,7 +13,6 @@ from seisreg.metrics import (
     ZeroPower,
     entropy_report,
     evaluate,
-    mutual_information,
     nmi,
     psd,
     series_entropy,
@@ -100,40 +99,54 @@ class TestEntropyReport:
         assert report["entropy_regularized"] < report["entropy_original"]
 
 
+def binned_entropy(counts):
+    p = counts.ravel() / counts.sum()
+    return -(p[p > 0] * np.log2(p[p > 0])).sum()
+
+
 class TestMutualInformation:
+    """The mutual information inside nmi, through its normalization by the
+    smaller marginal entropy."""
+
     def test_identical_two_bins(self):
+        # one bit shared, one bit per marginal
         x = np.arange(100.0)
-        assert mutual_information(x, x, bins=2) == pytest.approx(1.0)
+        assert nmi(x, x, bins=2) == pytest.approx(1.0)
 
     def test_independent_near_zero(self):
         rng = np.random.default_rng(123)
         x = rng.standard_normal(100_000)
         y = rng.standard_normal(100_000)
-        assert mutual_information(x, y, bins=8) < 0.01
+        assert nmi(x, y, bins=8) < 0.01
 
     def test_negation_invariant(self):
-        x = np.arange(100.0)
-        assert mutual_information(x, -x, bins=2) == \
-            pytest.approx(mutual_information(x, x, bins=2))
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(1000)
+        y = x + rng.standard_normal(1000)
+        assert nmi(x, -y, bins=8) == pytest.approx(nmi(x, y, bins=8))
 
     def test_self_mi_equals_binned_entropy(self):
+        # against I(X;Y) = H(X) + H(Y) - H(X,Y) from numpy's own histograms
         rng = np.random.default_rng(7)
         x = rng.uniform(0, 1, 5000)
-        counts, _ = np.histogram(x, bins=16)
-        p = counts / counts.sum()
-        h = -(p[p > 0] * np.log2(p[p > 0])).sum()
-        assert mutual_information(x, x, bins=16) == pytest.approx(h, abs=1e-12)
+        y = x ** 2 + 0.1 * rng.standard_normal(5000)
+        joint, _, _ = np.histogram2d(x, y, bins=16)
+        hx = binned_entropy(np.histogram(x, bins=16)[0])
+        hy = binned_entropy(np.histogram(y, bins=16)[0])
+        mi = hx + hy - binned_entropy(joint)
+        assert nmi(x, y, bins=16) == pytest.approx(mi / min(hx, hy), abs=1e-12)
+        assert nmi(x, x, bins=16) == pytest.approx(1.0, abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             x = rng.standard_normal(500)
             y = rng.standard_normal(500)
-            assert mutual_information(x, y, bins=8) >= -1e-9
+            assert nmi(x, y, bins=8) >= -1e-9
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            mutual_information(np.zeros(5), np.zeros(6), bins=2)
+            nmi(np.zeros(5), np.zeros(6), bins=2)
 
 
 class TestNmi:

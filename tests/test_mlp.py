@@ -13,7 +13,6 @@ from seisreg.mlp import (
     MlpModel,
     ModelBundle,
     ScgParams,
-    forward,
     forward_batch,
     gradient,
     init_model,
@@ -64,20 +63,21 @@ class TestInitModel:
 class TestForward:
     def test_zero_weights_gives_half(self):
         model = MlpModel(2, 3, np.zeros((3, 3)), np.zeros(4))
-        assert forward(model, [5.0, -2.0]) == 0.5
+        assert forward_batch(model, [5.0, -2.0]).tolist() == [0.5]
 
     def test_output_bias_only(self):
         model = MlpModel(2, 3, np.zeros((3, 3)), np.zeros(4))
         model.w_out[-1] = 1.3
-        assert forward(model, [0.7, 0.1]) == pytest.approx(1 / (1 + math.exp(-1.3)))
+        assert forward_batch(model, [0.7, 0.1])[0] == \
+            pytest.approx(1 / (1 + math.exp(-1.3)))
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(4)
         model = init_model(3, 7, seed=9)
-        for _ in range(20):
-            x = rng.standard_normal(3)
-            assert forward(model, x) == pytest.approx(naive_forward(model, x),
-                                                      abs=1e-12)
+        x = rng.standard_normal((20, 3))
+        expected = [naive_forward(model, row) for row in x]
+        np.testing.assert_allclose(forward_batch(model, x), expected,
+                                   rtol=0, atol=1e-12)
 
     def test_output_in_open_interval(self):
         model = init_model(3, 5, seed=5)
@@ -87,7 +87,7 @@ class TestForward:
     def test_dimension_mismatch(self):
         model = init_model(3, 5, seed=5)
         with pytest.raises(DimensionMismatch):
-            forward(model, [1.0, 2.0])
+            forward_batch(model, [1.0, 2.0])
 
 
 class TestLoss:
@@ -306,8 +306,7 @@ class TestScg:
         # the trainer exposes only the two scale constants and termination
         import dataclasses
         fields = {f.name for f in dataclasses.fields(ScgParams)}
-        assert fields == {"sigma", "lambda1", "max_iters", "target_loss",
-                          "grad_tol"}
+        assert fields == {"sigma", "lambda1", "max_iters", "target_loss"}
 
     def test_diverged_non_finite(self):
         objective = lambda w: (float("nan"), np.array([1.0]))

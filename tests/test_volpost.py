@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from seisreg import volpost
-from seisreg.errors import DataError
+from seisreg.errors import ConfigError
 from seisreg.formats.volume import SeismicVolume
-from seisreg.mlp import ModelBundle, forward, init_model
+from seisreg.mlp import ModelBundle, forward_batch, init_model
 from seisreg.resample import MinMaxStats, ZscoreStats
 from seisreg.volpost import (
     GeometryMismatch,
@@ -44,7 +44,7 @@ class TestPredictVolume:
         bundle = make_bundle()
         out = predict_volume(bundle, self._attrs())
         scored = bundle.input_stats.apply(np.array([[1.0, 0.5, 25.0]]))
-        expected = bundle.target_stats.invert(forward(bundle.model, scored[0]))
+        expected = bundle.target_stats.invert(forward_batch(bundle.model, scored)[0])
         np.testing.assert_allclose(out.data, expected, atol=1e-15)
 
     def test_statelessness_matches_per_voxel(self):
@@ -173,7 +173,7 @@ class TestMedianFilter3d:
         np.testing.assert_array_equal(out.mask, mask)
 
     def test_even_window_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             median_filter_3d(make_volume(np.zeros((3, 3, 3))), window=2)
 
     def test_boundary_shrinks_not_pads(self):
