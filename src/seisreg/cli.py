@@ -65,12 +65,14 @@ def _well_configs(args):
         parts = spec.split(":")
         if len(parts) != 3:
             raise ConfigError(f"--well needs ID:las_path:velocity_csv, got {spec!r}")
-        # the id is the first column of the pattern CSV that prep writes
-        if "," in parts[0]:
-            raise ConfigError(f"--well id {parts[0]!r} contains a comma")
-        if parts[0] in (w.well_id for w in wells):
-            raise ConfigError(f"--well: repeated well id {parts[0]!r}")
-        wells.append(pipeline.WellConfig(well_id=parts[0], las_path=parts[1],
+        # the id is the first column of the pattern CSV that prep writes,
+        # and its reader strips each row
+        well_id = parts[0].strip()
+        if not well_id or "," in well_id:
+            raise ConfigError(f"--well id {parts[0]!r} is empty or contains a comma")
+        if well_id in (w.well_id for w in wells):
+            raise ConfigError(f"--well: repeated well id {well_id!r}")
+        wells.append(pipeline.WellConfig(well_id=well_id, las_path=parts[1],
                                          velocity_path=parts[2]))
     return wells
 
@@ -89,19 +91,19 @@ def _cmd_prep(args):
 def _cmd_metrics(args):
     wells = pipeline.read_patterns_csv(args.patterns)
     sep = "," if args.format == "csv" else "  "
+    # built whole, so a failure part way (a bad --bins) prints nothing
+    lines = []
     for w in wells:
         scored = {"impedance": w.imp, "amplitude": w.amp, "inst_frequency": w.freq}
-        print(f"# entropy_bits well={w.well_id}")
-        print(sep.join(["variable", "entropy_bits"]))
-        for name, vals in scored.items():
+        lines += [f"# entropy_bits well={w.well_id}",
+                  sep.join(["variable", "entropy_bits"])]
+        for name, vals in {**scored, "sf": w.sf}.items():
             h = metrics.series_entropy(w.series(vals))
-            print(sep.join([name, f"{h:.4f}"]))
-        h = metrics.series_entropy(w.series(w.sf))
-        print(sep.join(["sf", f"{h:.4f}"]))
-        print(f"# nmi well={w.well_id}")
-        print(sep.join(["predictor", "vs_sf"]))
+            lines.append(sep.join([name, f"{h:.4f}"]))
+        lines += [f"# nmi well={w.well_id}", sep.join(["predictor", "vs_sf"])]
         for name, vals in scored.items():
-            print(sep.join([name, f"{metrics.nmi(vals, w.sf, args.bins):.4f}"]))
+            lines.append(sep.join([name, f"{metrics.nmi(vals, w.sf, args.bins):.4f}"]))
+    print("\n".join(lines))
 
 
 def _cmd_regularize(args):
@@ -144,19 +146,19 @@ def _cmd_train(args):
                                 train_seed=args.seed, split_seed=args.split_seed,
                                 target_loss=args.target_loss)
     inputs, input_stats, targets, target_stats = pipeline.pool_patterns(wells)
-    bundle, history, split = pipeline.train_model(
+    bundle, history, (_, test, validation) = pipeline.train_model(
         wells, config, inputs, input_stats, targets, target_stats)
     mlp.save_model(args.out, bundle)
 
-    def describe(ps):
-        report = pipeline.evaluate_subset(bundle, ps)
+    def describe(rows):
+        report = pipeline.evaluate_subset(bundle, inputs[rows], targets[rows])
         return (f"cc={report.cc:.4f} rmse={report.rmse:.4f} "
                 f"aem={report.aem:.4f} si={report.si:.4f}")
 
     print(f"trained {history.iterations} iterations "
           f"(stop: {history.stop_reason}, loss {history.final_loss:.3e})")
-    print(f"test:       {describe(split.test)}")
-    print(f"validation: {describe(split.validation)}")
+    print(f"test:       {describe(test)}")
+    print(f"validation: {describe(validation)}")
     print(f"wrote {args.out}")
 
 

@@ -20,7 +20,7 @@ from . import emdreg, ftreg, metrics, mlp, resample, volpost, waveletreg
 from .errors import ConfigError, DataError
 from .formats.las import parse_las
 from .formats.svol import read_svol, write_svol
-from .resample import PatternSet, TimeSeries
+from .resample import TimeSeries
 
 
 class SpanTooLarge(ConfigError):
@@ -220,8 +220,10 @@ class RunConfig:
             ftreg.FtRegParams(self.zeta_max_hz)
 
 
+_BOOLS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
 _CONVERTERS = {str: str, int: int, float: float,
-               bool: lambda s: s.lower() in ("1", "true", "yes"),
+               bool: lambda s: _BOOLS[s.lower()],
                list: lambda s: [int(v) for v in s.split(",") if v]}
 
 
@@ -243,7 +245,7 @@ _WELL_KEYS = [(f, f.name.removesuffix("_path")) for f in fields(WellConfig)[1:]]
 def _convert(key: str, conv, value: str):
     try:
         return conv(value)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(f"bad value for {key}: {value!r}")
 
 
@@ -311,8 +313,6 @@ class WellData:
     """One well's target and attributes on the shared fine time grid."""
 
     well_id: str
-    inline: int
-    xline: int
     t0_ms: float
     dt_ms: float
     sf: np.ndarray
@@ -361,8 +361,7 @@ def prepare_well(well_cfg: WellConfig, volumes: dict, dt_ms: float) -> WellData:
         traces[name] = resample.sinc_resample(trace_ts, sf_ts.t0_ms, dt_ms,
                                               len(sf_ts)).values
     return WellData(
-        well_id=well_cfg.well_id, inline=inline, xline=xline,
-        t0_ms=sf_ts.t0_ms, dt_ms=dt_ms, sf=sf_ts.values,
+        well_id=well_cfg.well_id, t0_ms=sf_ts.t0_ms, dt_ms=dt_ms, sf=sf_ts.values,
         imp=traces["imp"], amp=traces["amp"], freq=traces["freq"],
     )
 
@@ -425,46 +424,44 @@ def pool_patterns(wells):
 
 def train_model(wells, config: RunConfig, inputs, input_stats, targets,
                 target_stats):
-    """Split the pooled patterns per well and train the MLP by SCG on the
-    training part.  Returns (ModelBundle, TrainHistory, DatasetSplit)."""
-    provenance = [(w.well_id, float(t)) for w in wells for t in w.times_ms]
-    patterns = PatternSet(inputs=inputs, targets=targets, provenance=provenance)
-    split = resample.split_patterns(patterns, seed=config.split_seed)
-    # validation patterns must be disjoint from training/testing; checked
-    # on every split rather than trusting the splitter
-    seen = set(split.train.provenance) | set(split.test.provenance)
-    if not seen.isdisjoint(split.validation.provenance):
-        raise DataError("validation provenance overlaps train/test")
+    """Split the pooled rows per well and train the MLP by SCG on the
+    training rows.  Returns (ModelBundle, TrainHistory, (train, test,
+    validation) row indices)."""
+    split = resample.split_patterns({w.well_id: len(w.sf) for w in wells},
+                                    seed=config.split_seed)
+    train, test, validation = split
+    # validation rows must be disjoint from training/testing; checked on
+    # every split rather than trusting the splitter
+    if np.intersect1d(validation, np.concatenate([train, test])).size:
+        raise DataError("validation overlaps train/test")
     model = mlp.init_model(3, config.hidden, seed=config.train_seed)
     scg = mlp.ScgParams(sigma=config.sigma, lambda1=config.lambda1,
                         max_iters=config.max_iters,
                         target_loss=config.target_loss)
-    trained, history = mlp.scg_train(model, split.train.inputs,
-                                     split.train.targets, scg)
+    trained, history = mlp.scg_train(model, inputs[train], targets[train], scg)
     bundle = mlp.ModelBundle(model=trained, input_stats=input_stats,
                              target_stats=target_stats, seed=config.train_seed)
     return bundle, history, split
 
 
-def evaluate_subset(bundle: mlp.ModelBundle,
-                    subset: PatternSet) -> metrics.MetricsReport:
-    """The four evaluators on a pattern subset, in target units."""
+def evaluate_subset(bundle: mlp.ModelBundle, inputs,
+                    targets) -> metrics.MetricsReport:
+    """The four evaluators on the given rows, in target units."""
     invert = bundle.target_stats.invert
-    pred = invert(mlp.forward_batch(bundle.model, subset.inputs))
-    return metrics.evaluate(pred, invert(subset.targets))
+    pred = invert(mlp.forward_batch(bundle.model, inputs))
+    return metrics.evaluate(pred, invert(targets))
 
 
-def _regularize_wells(wells, config: RunConfig, inputs, targets, well_slices):
+def _regularize_wells(wells, bounds, config: RunConfig, inputs, targets):
     """Regularize each well's target: (pooled targets, reports, tables)."""
     method = METHODS[config.method]
     reg_targets = []
     reg_reports = {}
     tables = {}
-    for w in wells:
-        sl = well_slices[w.well_id]
-        scored = {"impedance": inputs[sl, 0], "amplitude": inputs[sl, 1],
-                  "inst_frequency": inputs[sl, 2]}
-        sf_norm = w.series(targets[sl])
+    for w, lo, hi in zip(wells, bounds, bounds[1:]):
+        scored = {"impedance": inputs[lo:hi, 0], "amplitude": inputs[lo:hi, 1],
+                  "inst_frequency": inputs[lo:hi, 2]}
+        sf_norm = w.series(targets[lo:hi])
         sf_reg, rep = method.regularize(sf_norm, config,
                                         w.series(scored["amplitude"]))
         reg_targets.append(sf_reg.values)
@@ -474,19 +471,19 @@ def _regularize_wells(wells, config: RunConfig, inputs, targets, well_slices):
     return np.concatenate(reg_targets), reg_reports, tables
 
 
-def _run_attempt(wells, config: RunConfig, inputs, input_stats, target_stats,
-                 regularized):
+def _run_attempt(wells, bounds, config: RunConfig, inputs, input_stats,
+                 target_stats, regularized):
     """One split -> train -> evaluate pass on regularized targets."""
     reg_targets, reg_reports, tables = regularized
-    bundle, history, split = train_model(wells, config, inputs, input_stats,
-                                         reg_targets, target_stats)
-    test_report = evaluate_subset(bundle, split.test)
-    validation = {}
-    for w in wells:
-        idx = [i for i, (wid, _) in enumerate(split.validation.provenance)
-               if wid == w.well_id]
-        validation[w.well_id] = evaluate_subset(bundle, split.validation.take(idx))
-    pooled = evaluate_subset(bundle, split.validation)
+    bundle, history, (_, test, held_out) = train_model(
+        wells, config, inputs, input_stats, reg_targets, target_stats)
+    score = lambda rows: evaluate_subset(bundle, inputs[rows], reg_targets[rows])
+    test_report = score(test)
+    # each validation row's well: the block of the pooled table it falls in
+    well_of = np.searchsorted(bounds, held_out, side="right") - 1
+    validation = {w.well_id: score(held_out[well_of == k])
+                  for k, w in enumerate(wells)}
+    pooled = score(held_out)
 
     attempt = {
         "method_params": METHODS[config.method].describe(config),
@@ -523,9 +520,8 @@ def run_workflow(config: RunConfig):
 
     wells = [prepare_well(wc, volumes, config.dt_ms) for wc in config.wells]
     inputs, input_stats, targets, target_stats = pool_patterns(wells)
-    ends = np.cumsum([len(w.sf) for w in wells])
-    well_slices = {w.well_id: slice(end - len(w.sf), end)
-                   for w, end in zip(wells, ends)}
+    # well k's rows of the pooled table are bounds[k]:bounds[k + 1]
+    bounds = np.cumsum([0] + [len(w.sf) for w in wells])
 
     params = config
     if config.method == "ft" and config.zeta_max_hz is None:
@@ -533,22 +529,22 @@ def run_workflow(config: RunConfig):
         # schedule and the report see one concrete number; the widest well
         # wins so no well starts over-truncated
         params = replace(config, zeta_max_hz=max(
-            ftreg.default_zeta_max(w.series(inputs[well_slices[w.well_id], 1]))
-            for w in wells
+            ftreg.default_zeta_max(w.series(inputs[lo:hi, 1]))
+            for w, lo, hi in zip(wells, bounds, bounds[1:])
         ))
     attempts = []
     bundle = None
     for attempt_no in range(config.max_attempts):
         try:
-            regularized = _regularize_wells(wells, params, inputs, targets,
-                                            well_slices)
+            regularized = _regularize_wells(wells, bounds, params, inputs,
+                                            targets)
         except (ConfigError, DataError) as exc:
             if not attempts:
                 raise
             attempts[-1]["tightening_stopped"] = f"attempt {attempt_no}: {exc}"
             break
-        attempt, bundle = _run_attempt(
-            wells, params, inputs, input_stats, target_stats, regularized)
+        attempt, bundle = _run_attempt(wells, bounds, params, inputs,
+                                       input_stats, target_stats, regularized)
         attempt["attempt"] = attempt_no
         attempts.append(attempt)
         pooled_cc = attempt["validation_pooled"]["cc"]
@@ -722,6 +718,6 @@ def read_patterns_csv(path) -> list:
         if not np.allclose(steps, dt, rtol=0, atol=1e-6 * dt):
             raise DataError(f"well {well_id}: time column is not uniform")
         wells.append(WellData(
-            well_id=well_id, inline=0, xline=0, t0_ms=float(times[0]), dt_ms=dt,
+            well_id=well_id, t0_ms=float(times[0]), dt_ms=dt,
             sf=arr[:, 4], imp=arr[:, 1], amp=arr[:, 2], freq=arr[:, 3]))
     return wells

@@ -252,66 +252,28 @@ def minmax_to_band(series):
     return stats.apply(series), stats
 
 
-@dataclass
-class PatternSet:
-    """Per-sample predictor vectors, targets, and (well id, time) provenance."""
+def split_patterns(sizes: dict, seed: int):
+    """70/30 per-well split of pooled row indices, the 30% pooled and
+    halved into test/validation.
 
-    inputs: np.ndarray      # [n, n_attrs]
-    targets: np.ndarray     # [n]
-    provenance: list        # of (well_id, time_ms)
-
-    def __post_init__(self):
-        self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=np.float64))
-        self.targets = np.asarray(self.targets, dtype=np.float64)
-        if not (self.inputs.shape[0] == len(self.targets) == len(self.provenance)):
-            raise DataError("inputs, targets and provenance must be the same length")
-
-    def __len__(self):
-        return len(self.targets)
-
-    @property
-    def wells(self):
-        seen = dict.fromkeys(w for w, _ in self.provenance)
-        return list(seen)
-
-    def take(self, idx) -> "PatternSet":
-        idx = np.asarray(idx, dtype=int)
-        return PatternSet(self.inputs[idx], self.targets[idx],
-                          [self.provenance[i] for i in idx])
-
-
-@dataclass
-class DatasetSplit:
-    train: PatternSet
-    test: PatternSet
-    validation: PatternSet
-
-
-def split_patterns(patterns: PatternSet, seed: int) -> DatasetSplit:
-    """70/30 per-well split with the 30% pooled and halved into test/validation.
-
-    Per well, indices are scrambled by a seeded shuffle and the first 70%
-    go to training in that scrambled order.  The remaining 30% from all
-    wells are pooled, scrambled once more, and halved.
+    `sizes` maps each well id to its row count in pooled order, so well k's
+    rows are the block after well k-1's.  Per well, its rows are scrambled
+    by a seeded shuffle and the first 70% go to training in that scrambled
+    order.  The remaining 30% from all wells are pooled, scrambled once
+    more, and halved.  Returns the (train, test, validation) row indices.
     """
     rng = np.random.default_rng(seed)
-    by_well = {}
-    for i, (well, _) in enumerate(patterns.provenance):
-        by_well.setdefault(well, []).append(i)
-    train_idx, leftover = [], []
-    for well in patterns.wells:
-        idx = np.array(by_well[well])
-        if len(idx) < 10:
-            raise TooFewPatterns(f"well {well!r} has only {len(idx)} patterns")
-        perm = idx[rng.permutation(len(idx))]
-        n_train = int(round(0.7 * len(idx)))
-        train_idx.extend(perm[:n_train].tolist())
-        leftover.extend(perm[n_train:].tolist())
-    leftover = np.array(leftover)
+    train, leftover = [], []
+    start = 0
+    for well, n in sizes.items():
+        if n < 10:
+            raise TooFewPatterns(f"well {well!r} has only {n} patterns")
+        perm = start + rng.permutation(n)
+        n_train = int(round(0.7 * n))
+        train.append(perm[:n_train])
+        leftover.append(perm[n_train:])
+        start += n
+    leftover = np.concatenate(leftover)
     leftover = leftover[rng.permutation(len(leftover))]
     half = len(leftover) // 2
-    return DatasetSplit(
-        train=patterns.take(np.array(train_idx)),
-        test=patterns.take(leftover[:half]),
-        validation=patterns.take(leftover[half:]),
-    )
+    return np.concatenate(train), leftover[:half], leftover[half:]

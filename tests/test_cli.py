@@ -57,8 +57,9 @@ class TestExitCodes:
                    "--out", workdir / "x.csv", "--report", workdir / "x.json") == 2
 
     @pytest.mark.parametrize("bins", [0, -3, 1])
-    def test_too_few_bins_is_2(self, patterns, bins):
+    def test_too_few_bins_is_2(self, patterns, bins, capsys):
         assert run("metrics", patterns, "--bins", bins) == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("flag", ["--seed", "--split-seed"])
     def test_negative_train_seed_is_2(self, workdir, patterns, flag):
@@ -204,7 +205,8 @@ class TestExitCodes:
             "wells = A,B,C,D", "wells = A,A,B"))
         assert run("run", "--config", cfg) == 2
 
-    @pytest.mark.parametrize("ids", [("A", "A"), ("A,B",), ("B", "A", "B")])
+    @pytest.mark.parametrize("ids", [("A", "A"), ("A,B",), ("B", "A", "B"),
+                                     ("",), ("B", "  "), ("A", " A ")])
     def test_bad_prep_well_id_is_2(self, workdir, bench, ids):
         # a pattern CSV with these ids would be rejected by every reader
         out = workdir / "bad_ids.csv"
@@ -214,6 +216,17 @@ class TestExitCodes:
             args += ["--well", f"{well_id}:{bench}/well_A.las:{bench}/vel_A.csv"]
         assert run(*args) == 2
         assert not out.exists()
+
+    def test_prep_well_id_is_stripped(self, workdir, bench, capsys):
+        # the pattern CSV reader strips each row, so prep strips the id
+        out = workdir / "spaced_id.csv"
+        assert run("prep", "--imp", bench / "imp.svol", "--amp", bench / "amp.svol",
+                   "--freq", bench / "freq.svol", "--out", out,
+                   "--well", f" A :{bench}/well_A.las:{bench}/vel_A.csv") == 0
+        assert out.read_text().splitlines()[1].startswith("A,")
+        capsys.readouterr()
+        assert run("metrics", out) == 0
+        assert "# nmi well=A\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("window", [2, 0, -1])
     def test_bad_filter_window_is_2(self, workdir, bench, window):

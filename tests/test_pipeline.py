@@ -106,11 +106,19 @@ class TestConfig:
         assert render_config(config) == BENCH_RENDERED
 
     @pytest.mark.parametrize("key,value", [
-        ("truncate", "1,a"), ("well.A.inline", "3.5"), ("well.A.xline", "x")])
+        ("truncate", "1,a"), ("well.A.inline", "3.5"), ("well.A.xline", "x"),
+        ("predict", "ture")])
     def test_bad_numeric_value_is_config_error(self, key, value):
         text = "wells = A\nwell.A.las = a.las\nwell.A.velocity = a.csv\n"
         with pytest.raises(ConfigError, match=key):
             parse_config(text, {key: value})
+
+    @pytest.mark.parametrize("value,expected", [
+        ("1", True), ("true", True), ("True", True), ("YES", True),
+        ("0", False), ("false", False), ("False", False), ("No", False)])
+    def test_bool_spellings(self, value, expected):
+        # render_config writes True/False, which must parse back
+        assert parse_config("", {"predict": value}).predict is expected
 
     def test_unknown_key_rejected(self):
         for text in ("mystery = 1", "gate_tol_bits = 0.05"):
@@ -174,7 +182,7 @@ class TestPatternsCsv:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         wells = [
-            WellData(well_id=w, inline=0, xline=0, t0_ms=100.0, dt_ms=0.5,
+            WellData(well_id=w, t0_ms=100.0, dt_ms=0.5,
                      sf=rng.uniform(0, 1, 20), imp=rng.uniform(5e3, 9e3, 20),
                      amp=rng.standard_normal(20), freq=rng.uniform(10, 60, 20))
             for w in "AB"
@@ -198,7 +206,7 @@ class TestPatternsCsv:
             return values
 
         names = ("imp", "amp", "freq", "sf")
-        wells = [WellData(w, 0, 0, t0, 0.15, **{name: column() for name in names})
+        wells = [WellData(w, t0, 0.15, **{name: column() for name in names})
                  for w, t0 in (("A", 2208.0), ("B%d", -3.5))]
         path = tmp_path / "patterns.csv"
         write_patterns_csv(path, wells)
@@ -260,17 +268,13 @@ class TestWorkflow:
         split_patterns = resample.split_patterns
         calls = []
 
-        def overlapping_once(patterns, seed):
-            split = split_patterns(patterns, seed)
+        def overlapping_once(sizes, seed):
+            train, test, validation = split_patterns(sizes, seed)
             calls.append(seed)
             if len(calls) == 1:
-                # one training pattern also lands in validation
-                extra = split.train.take([0])
-                split.validation = resample.PatternSet(
-                    np.vstack([split.validation.inputs, extra.inputs]),
-                    np.concatenate([split.validation.targets, extra.targets]),
-                    split.validation.provenance + extra.provenance)
-            return split
+                # one training row also lands in validation
+                validation = np.append(validation, train[0])
+            return train, test, validation
 
         monkeypatch.setattr(resample, "split_patterns", overlapping_once)
         config = parse_config(bench_config_text, {

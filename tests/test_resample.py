@@ -7,7 +7,6 @@ from seisreg.resample import (
     DegenerateRange,
     DepthOutOfRange,
     DownsampleRequested,
-    PatternSet,
     TargetOutsideSpan,
     TimeSeries,
     TooFewPatterns,
@@ -168,44 +167,61 @@ class TestMinMax:
         np.testing.assert_allclose(stats.invert(mapped), series, atol=1e-12)
 
 
-def _patterns(counts, seed=0):
+def _provenance_split(sizes, seed):
+    """The split as it was made when each pooled row carried a (well, time)
+    provenance tuple and the rows were grouped back into wells by it: the
+    reference split_patterns must match index for index."""
+    provenance = [(well, float(k)) for well, n in sizes.items() for k in range(n)]
     rng = np.random.default_rng(seed)
-    inputs, targets, provenance = [], [], []
-    for well, n in counts.items():
-        inputs.append(rng.standard_normal((n, 3)))
-        targets.append(rng.uniform(0.1, 0.9, n))
-        provenance.extend((well, float(k)) for k in range(n))
-    return PatternSet(np.vstack(inputs), np.concatenate(targets), provenance)
+    by_well = {}
+    for i, (well, _) in enumerate(provenance):
+        by_well.setdefault(well, []).append(i)
+    train_idx, leftover = [], []
+    for well in dict.fromkeys(w for w, _ in provenance):
+        idx = np.array(by_well[well])
+        perm = idx[rng.permutation(len(idx))]
+        n_train = int(round(0.7 * len(idx)))
+        train_idx.extend(perm[:n_train].tolist())
+        leftover.extend(perm[n_train:].tolist())
+    leftover = np.array(leftover)
+    leftover = leftover[rng.permutation(len(leftover))]
+    half = len(leftover) // 2
+    return np.array(train_idx), leftover[:half], leftover[half:]
 
 
 class TestSplitPatterns:
     def test_single_well_70_15_15(self):
-        split = split_patterns(_patterns({"A": 100}), seed=1)
-        assert (len(split.train), len(split.test), len(split.validation)) == (70, 15, 15)
+        train, test, val = split_patterns({"A": 100}, seed=1)
+        assert (len(train), len(test), len(val)) == (70, 15, 15)
 
     def test_deterministic(self):
-        a = split_patterns(_patterns({"A": 100}), seed=5)
-        b = split_patterns(_patterns({"A": 100}), seed=5)
-        assert a.train.provenance == b.train.provenance
-        assert a.test.provenance == b.test.provenance
-        assert a.validation.provenance == b.validation.provenance
+        a = split_patterns({"A": 60, "B": 40}, seed=5)
+        b = split_patterns({"A": 60, "B": 40}, seed=5)
+        for rows_a, rows_b in zip(a, b):
+            np.testing.assert_array_equal(rows_a, rows_b)
 
     def test_per_well_stratification(self):
-        split = split_patterns(_patterns({w: 100 for w in "ABCD"}), seed=2)
-        assert len(split.train) == 280
-        for well in "ABCD":
-            assert sum(1 for w, _ in split.train.provenance if w == well) == 70
+        train, _, _ = split_patterns({w: 100 for w in "ABCD"}, seed=2)
+        assert len(train) == 280
+        # well k's rows are the block 100k..100k+99
+        assert np.bincount(train // 100).tolist() == [70] * 4
 
     def test_partition(self):
-        patterns = _patterns({"A": 57, "B": 43})
-        split = split_patterns(patterns, seed=9)
-        all_tags = {tuple(p) for p in patterns.provenance}
-        train = {tuple(p) for p in split.train.provenance}
-        test = {tuple(p) for p in split.test.provenance}
-        val = {tuple(p) for p in split.validation.provenance}
-        assert train | test | val == all_tags
-        assert not (train & test or train & val or test & val)
+        split = split_patterns({"A": 57, "B": 43}, seed=9)
+        rows = np.concatenate(split)
+        # every row exactly once: a union of the 100 rows with no repeats
+        np.testing.assert_array_equal(np.sort(rows), np.arange(100))
+
+    @pytest.mark.parametrize("sizes", [
+        {w: 1427 for w in "ABCD"}, {"A": 10}, {"A": 10, "B": 11, "C": 57},
+        {"B": 43, "A": 57}])
+    @pytest.mark.parametrize("seed", [0, 7, 11, 2**40])
+    def test_matches_provenance_split(self, sizes, seed):
+        for rows, expected in zip(split_patterns(sizes, seed),
+                                  _provenance_split(sizes, seed)):
+            assert rows.dtype.kind == "i"
+            np.testing.assert_array_equal(rows, expected)
 
     def test_too_few_patterns(self):
-        with pytest.raises(TooFewPatterns):
-            split_patterns(_patterns({"A": 100, "B": 5}), seed=0)
+        with pytest.raises(TooFewPatterns, match="'B'"):
+            split_patterns({"A": 100, "B": 5}, seed=0)
