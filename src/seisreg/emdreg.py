@@ -7,6 +7,11 @@ criterion is below threshold and the extrema/zero-crossing counts differ by
 at most one.  Envelope ends are handled by mirroring the two nearest
 extrema across each boundary, which is the dominant failure mode when left
 unhandled.
+
+The envelopes are natural cubic splines built in numpy around one LAPACK
+tridiagonal solve from `scipy.linalg`: the same arithmetic as
+`scipy.interpolate.CubicSpline(..., bc_type="natural")`, bit for bit,
+without loading `scipy.interpolate`.
 """
 
 from dataclasses import dataclass
@@ -84,28 +89,58 @@ def zero_crossings(values) -> int:
     return int(np.count_nonzero(np.diff(np.sign(nz))))
 
 
+def _natural_spline(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """`scipy.interpolate.CubicSpline(x, y, bc_type="natural")` on 0..n-1,
+    operation for operation, so every bit of it is kept.
+
+    The knot slopes solve CubicSpline's tridiagonal system with the LAPACK
+    routine it reaches through `solve_banded`; each sample then evaluates
+    its interval's Hermite cubic as `PPoly` does.  `x` is float64, strictly
+    increasing, with x[0] <= 0 and x[-1] >= n - 1.
+    """
+    # imported here so that only EMD runs load scipy, and only scipy.linalg
+    from scipy.linalg.lapack import dgtsv
+
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # one row per knot: the slope equations inside, zero curvature at the
+    # ends.  scipy adds the end curvature to b as -0.0 and +0.0 terms; the
+    # first never changes a value, the second turns a -0.0 into 0.0
+    d = 2 * np.concatenate([dx[:1], dx[:-1] + dx[1:], dx[-1:]])
+    du = np.concatenate([dx[:1], dx[:-1]])
+    dl = np.concatenate([dx[1:], dx[-1:]])
+    b = np.concatenate([3 * (y[1:2] - y[:1]),
+                        3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+                        0.0 + 3 * (y[-1:] - y[-2:-1])])
+    # strictly increasing knots make the system strictly diagonally
+    # dominant, so dgtsv never reports a singular one
+    s = dgtsv(dl, d, du, b, overwrite_dl=True, overwrite_d=True,
+              overwrite_du=True, overwrite_b=True)[3]
+    # CubicHermiteSpline's coefficients, highest power first
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+
+    grid = np.arange(n, dtype=np.float64)
+    i = np.clip(np.searchsorted(x, grid, side="right") - 1, 0, len(x) - 2)
+    z = grid - x[i]
+    # PPoly sums from 0.0, lowest power first
+    out = 0.0 + c3[i]
+    out += c2[i] * z
+    out += c1[i] * (z * z)
+    out += c0[i] * ((z * z) * z)
+    return out
+
+
 def _mirrored_spline(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     """Natural cubic spline through extrema, with the two nearest extrema
-    mirrored across each boundary, evaluated on 0..n-1."""
-    # imported here so that only EMD runs load scipy
-    from scipy.interpolate import CubicSpline
+    mirrored across each boundary, evaluated on 0..n-1.
 
-    left_n = min(2, len(idx))
-    right_n = min(2, len(idx))
-    xs = np.concatenate([
-        -idx[:left_n][::-1],
-        idx,
-        2 * (n - 1) - idx[-right_n:][::-1],
-    ])
-    ys = np.concatenate([
-        vals[:left_n][::-1],
-        vals,
-        vals[-right_n:][::-1],
-    ])
-    # mirroring an extremum sitting exactly on the boundary would duplicate x
-    keep = np.concatenate([[True], np.diff(xs) > 0])
-    spline = CubicSpline(xs[keep], ys[keep], bc_type="natural")
-    return spline(np.arange(n))
+    `idx` holds at least two increasing indices inside 1..n-2, so the
+    mirrored knots stay strictly increasing.
+    """
+    xs = np.concatenate([-idx[:2][::-1], idx, 2 * (n - 1) - idx[-2:][::-1]])
+    ys = np.concatenate([vals[:2][::-1], vals, vals[-2:][::-1]])
+    return _natural_spline(xs.astype(np.float64), ys, n)
 
 
 def envelope_mean(x: np.ndarray) -> np.ndarray:

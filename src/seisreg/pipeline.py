@@ -112,7 +112,9 @@ def _regularize_emd(target, config, predictor):
 
 def _wd_truncation(config) -> list:
     """The detail levels wd truncates; by default all but the coarsest."""
-    return sorted(config.truncate_details or range(1, config.wd_levels))
+    if config.truncate_details is None:
+        return list(range(1, config.wd_levels))
+    return sorted(set(config.truncate_details))
 
 
 def _tighten_wd(config):
@@ -224,7 +226,7 @@ _BOOLS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
 _CONVERTERS = {str: str, int: int, float: float,
                bool: lambda s: _BOOLS[s.lower()],
-               list: lambda s: [int(v) for v in s.split(",") if v]}
+               list: lambda s: [int(v) for v in s.split(",")] if s else []}
 
 
 def _converter(f):

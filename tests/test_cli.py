@@ -401,20 +401,22 @@ class TestEndToEnd:
 
 
 def _modules_after(code):
-    """The top-level packages a fresh interpreter holds after running code."""
+    """The modules a fresh interpreter holds after running code, by full name."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     proc = subprocess.run(
         [sys.executable, "-c",
-         code + "\nimport sys\nprint(sorted({m.split('.')[0] for m in sys.modules}))"],
+         code + "\nimport sys\nprint(sorted(sys.modules))"],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
 
 
 class TestImports:
-    """scipy serves only `seisreg synth` and the EMD engine; no other
-    command pays for loading it.  Each check runs in a fresh interpreter,
-    because this one has imported synthbench for the fixtures."""
+    """scipy serves only `seisreg synth` and the EMD engine, which loads
+    `scipy.linalg` for its tridiagonal solve and never `scipy.interpolate`;
+    no other command pays for loading scipy.  Each check runs in a fresh
+    interpreter, because this one has imported synthbench and
+    scipy.interpolate for the tests."""
 
     def test_importing_the_cli_loads_no_scipy(self):
         assert "'scipy'" not in _modules_after(
@@ -431,3 +433,13 @@ class TestImports:
             f"from seisreg import cli\nassert cli.main({argv!r}) == 0")
         assert (workdir / "noscipy" / "sf_pred_med.svol").is_file()
         assert "'scipy'" not in modules
+
+    def test_emd_regularize_loads_no_scipy_interpolate(self, workdir, patterns):
+        out = workdir / "emd_imports.csv"
+        argv = ["regularize", str(patterns), "--method", "emd", "--out", str(out),
+                "--report", str(workdir / "emd_imports.json")]
+        modules = _modules_after(
+            f"from seisreg import cli\nassert cli.main({argv!r}) == 0")
+        assert out.is_file()
+        assert "'scipy.linalg.lapack'" in modules
+        assert "'scipy.interpolate'" not in modules

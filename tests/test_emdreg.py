@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from seisreg.emdreg import (
     P1OutOfRange,
     SiftParams,
     TooFewExtrema,
+    _natural_spline,
     emd,
     envelope_mean,
     find_extrema,
@@ -42,6 +46,18 @@ class TestFindExtrema:
         _, minima = find_extrema([1.0, 0.0, 1.0, -1.0, 2.0])
         assert minima.tolist() == [1, 3]
 
+    @pytest.mark.parametrize("x,maxima,minima", [
+        # endpoints above their neighbours, then below them
+        ([5.0, 0.0, 1.0, 0.0, 5.0], [2], [1, 3]),
+        ([-5.0, 0.0, -1.0, 0.0, -5.0], [1, 3], [2]),
+        # plateaus that touch the ends
+        ([2.0, 2.0, 0.0, 1.0, 0.0, 2.0, 2.0], [3], [2, 4]),
+    ])
+    def test_endpoints_never_extrema(self, x, maxima, minima):
+        # the mirrored envelope knots rely on this rule
+        got_max, got_min = find_extrema(x)
+        assert (got_max.tolist(), got_min.tolist()) == (maxima, minima)
+
     @pytest.mark.parametrize("n", [3, 4, 7, 50, 400])
     def test_matches_three_point_loop(self, n):
         def reference(x):
@@ -67,6 +83,39 @@ class TestFindExtrema:
             for got, want in zip(find_extrema(x), reference(x)):
                 assert got.dtype == np.dtype(int)
                 assert got.tolist() == want
+
+
+# knot gaps like extrema spacings and off the integer grid; knot values with
+# exact zeros of both signs and repeats among ordinary floats
+_GAPS = st.one_of(st.integers(1, 60), st.floats(0.5, 200.0))
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    st.floats(-1e3, 1e3, allow_nan=False))
+
+
+class TestNaturalSpline:
+    @settings(max_examples=150, deadline=None)
+    @given(knots=st.lists(st.tuples(_GAPS, _VALUES), min_size=6, max_size=40),
+           start=st.floats(0.0, 1.0), end=st.floats(0.0, 1.0))
+    # a gap much wider than the one before it makes dgtsv swap rows
+    @example(knots=list(zip([0, 1, 1, 1, 90, 1, 200],
+                            [0.0, -0.0, 3.5, 3.5, -2.0, 1.0, 0.0])),
+             start=0.5, end=1.0)
+    @example(knots=list(zip([0, 2, 2, 3, 40, 2, 2, 70, 3],
+                            [1.0, 1.0, -1.0, -1.0, 0.0, 2.0, 2.0, 2.0, -0.0])),
+             start=0.0, end=0.5)
+    # -0.0 at knot 0: only PPoly's leading 0.0 + keeps sample 0 at +0.0
+    @example(knots=list(zip([0, 3, 1, 1, 1, 2],
+                            [-0.0, -1.0, -1.0, 1.0, -1.0, -1.0])),
+             start=0.0, end=1.0)
+    def test_bit_identical_to_scipy(self, knots, start, end):
+        gaps, y = np.array(knots, dtype=np.float64).T
+        x = np.cumsum(gaps) - gaps[0]
+        x -= start * (x[-1] - 1.0)                  # x[0] <= 0 < 1 <= x[-1]
+        n = 1 + int(end * np.floor(x[-1]))          # n - 1 <= x[-1]
+        got = _natural_spline(x, y, n)
+        want = CubicSpline(x, y, bc_type="natural")(np.arange(n))
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestEnvelopeMean:

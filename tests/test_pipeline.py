@@ -113,6 +113,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(text, {key: value})
 
+    @pytest.mark.parametrize("value", [",", "1,,2", "1,", ",1", "1, ,2"])
+    def test_empty_list_item_is_config_error(self, value):
+        with pytest.raises(ConfigError, match="truncate"):
+            parse_config("", {"truncate": value})
+
+    def test_empty_list_is_set_not_default(self):
+        assert parse_config("truncate =").truncate_details == []
+        assert parse_config("").truncate_details is None
+
     @pytest.mark.parametrize("value,expected", [
         ("1", True), ("true", True), ("True", True), ("YES", True),
         ("0", False), ("false", False), ("False", False), ("No", False)])
@@ -248,6 +257,20 @@ class TestWorkflow:
         zetas = [a["method_params"]["zeta_max_hz"] for a in report.attempts]
         assert zetas[1] == pytest.approx(zetas[0] * 0.8)
         assert zetas[2] == pytest.approx(zetas[0] * 0.64)
+
+    @pytest.mark.parametrize("settings", [{}, {"truncate": ""}])
+    def test_reported_truncation_is_the_engines(self, bench_config_text, settings):
+        # the second attempt checks the list _tighten_wd started from
+        config = parse_config(bench_config_text, {
+            "method": "wd", "max_iters": "20", "validation_cc_threshold": "0.999",
+            "max_attempts": "2", **settings})
+        report, _, _ = run_workflow(config)
+        assert len(report.attempts) == 2
+        for attempt in report.attempts:
+            for detail in attempt["regularization"].values():
+                assert attempt["method_params"]["truncate"] == detail["truncated"]
+        first = report.attempts[0]["method_params"]["truncate"]
+        assert first == ([] if settings else [1, 2, 3, 4, 5])
 
     def test_rejected_tightening_keeps_completed_attempts(self, bench_config_text):
         settings = {"method": "ft", "zeta_max_hz": "5", "max_iters": "20",
