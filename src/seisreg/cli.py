@@ -5,6 +5,7 @@ divergence.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -15,7 +16,7 @@ from . import emdreg, metrics, mlp, pipeline, volpost
 from .errors import ConfigError, DataError, DivergenceError
 from .formats.las import parse_las
 from .formats.segy import TraceLayout, parse_segy
-from .formats.svol import read_svol, write_svol
+from .formats.svol import open_svol, read_svol, write_svol
 from .formats.volume import volume_from_traces
 from .synthparams import SynthFieldParams
 
@@ -78,10 +79,11 @@ def _well_configs(args):
 
 
 def _cmd_prep(args):
-    volumes = {"imp": read_svol(args.imp), "amp": read_svol(args.amp),
-               "freq": read_svol(args.freq)}
-    wells = [pipeline.prepare_well(wc, volumes, args.dt)
-             for wc in _well_configs(args)]
+    with contextlib.ExitStack() as stack:
+        volumes = {name: stack.enter_context(open_svol(getattr(args, name)))
+                   for name in ("imp", "amp", "freq")}
+        wells = [pipeline.prepare_well(wc, volumes, args.dt)
+                 for wc in _well_configs(args)]
     pipeline.write_patterns_csv(args.out, wells)
     total = sum(len(w.sf) for w in wells)
     print(f"wrote {args.out}: {total} patterns from {len(wells)} wells at "
@@ -167,16 +169,16 @@ def _cmd_predict(args):
     if len(paths) != 3:
         raise ConfigError("--vol needs imp.svol,amp.svol,freq.svol")
     bundle = mlp.load_model(args.model)
-    vols = [read_svol(p) for p in paths]
-    out = volpost.predict_volume(bundle, vols)
-    write_svol(args.out, out)
+    with contextlib.ExitStack() as stack:
+        vols = [stack.enter_context(open_svol(p)) for p in paths]
+        volpost.predict_volume(bundle, vols, args.out)
     print(f"wrote {args.out}")
 
 
 def _cmd_filter(args):
+    # whole in memory, so --out may name the input file
     vol = read_svol(args.infile)
-    out = volpost.median_filter_3d(vol, args.window)
-    write_svol(args.out, out)
+    volpost.median_filter_3d(vol, args.window, args.out)
     print(f"wrote {args.out}")
 
 

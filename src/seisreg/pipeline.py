@@ -6,6 +6,7 @@ Every numbered stage is a thin call into the owning module; this file owns
 sequencing, configuration and reporting only.
 """
 
+import contextlib
 import io
 import itertools
 import json
@@ -19,7 +20,8 @@ import numpy as np
 from . import emdreg, ftreg, metrics, mlp, resample, volpost, waveletreg
 from .errors import ConfigError, DataError
 from .formats.las import parse_las
-from .formats.svol import read_svol, write_svol
+from .formats.svol import open_svol, read_svol
+from .formats.svol import write_svol  # noqa: F401  only for perfbench/spans.py
 from .resample import TimeSeries
 
 
@@ -331,7 +333,10 @@ class WellData:
 
 
 def prepare_well(well_cfg: WellConfig, volumes: dict, dt_ms: float) -> WellData:
-    """LAS + velocity + attribute volumes -> aligned fine-grid arrays."""
+    """LAS + velocity + attribute volumes -> aligned fine-grid arrays.
+
+    Reads only the well's own trace of each volume, so `volumes` may be
+    open `.svol` readers as well as volumes in memory."""
     with open(well_cfg.las_path) as fh:
         log = parse_las(fh.read())
     vp = resample.load_velocity_csv(well_cfg.velocity_path)
@@ -355,11 +360,11 @@ def prepare_well(well_cfg: WellConfig, volumes: dict, dt_ms: float) -> WellData:
 
     traces = {}
     for name, vol in volumes.items():
-        i, j = vol.inline_index(inline), vol.xline_index(xline)
-        if not vol.mask[i, j].all():
+        samples, mask = vol.trace(inline, xline)
+        if not mask.all():
             raise DataError(f"well {well_cfg.well_id}: {name} trace is masked at "
                             f"({inline}, {xline})")
-        trace_ts = TimeSeries(vol.t0_ms, vol.dt_ms, vol.data[i, j])
+        trace_ts = TimeSeries(vol.t0_ms, vol.dt_ms, samples)
         traces[name] = resample.sinc_resample(trace_ts, sf_ts.t0_ms, dt_ms,
                                               len(sf_ts)).values
     return WellData(
@@ -511,16 +516,36 @@ def run_workflow(config: RunConfig):
     building stage repeats, at most max_attempts times, every attempt
     logged.  A tightened setting the engine rejects ends the schedule: the
     completed attempts stand, the last one recording why
-    (`tightening_stopped`)."""
+    (`tightening_stopped`).
+
+    The attribute volumes are read by block and never held whole.  With
+    `predict` set, the predicted and filtered volumes are returned in
+    memory; with `outdir` also set, they go to disk as they are computed
+    and the third item is None."""
     if not config.wells:
         raise ConfigError("no wells configured")
-    volumes = {name: read_svol(getattr(config, f"vol_{name}"))
-               for name in ("imp", "amp", "freq")}
-    for name in ("amp", "freq"):
-        if not volumes["imp"].same_geometry(volumes[name]):
-            raise DataError(f"{name} volume geometry differs from imp")
+    with contextlib.ExitStack() as stack:
+        # opening checks every valid sample, so a NaN fails the run before
+        # any training or output
+        volumes = {name: stack.enter_context(
+                       open_svol(getattr(config, f"vol_{name}")))
+                   for name in ("imp", "amp", "freq")}
+        for name in ("amp", "freq"):
+            if not volumes["imp"].same_geometry(volumes[name]):
+                raise DataError(f"{name} volume geometry differs from imp")
+        wells = [prepare_well(wc, volumes, config.dt_ms) for wc in config.wells]
+        report, bundle = _build_model(config, wells)
+        out_volumes = None
+        if config.predict:
+            out_volumes = _post_process(config, bundle, list(volumes.values()))
+    if config.outdir:
+        write_run_outputs(config, report, bundle)
+    return report, bundle, out_volumes
 
-    wells = [prepare_well(wc, volumes, config.dt_ms) for wc in config.wells]
+
+def _build_model(config: RunConfig, wells):
+    """Regularize, train and validate, retrying with tightened settings;
+    returns (RunReport, ModelBundle of the last attempt)."""
     inputs, input_stats, targets, target_stats = pool_patterns(wells)
     # well k's rows of the pooled table are bounds[k]:bounds[k + 1]
     bounds = np.cumsum([0] + [len(w.sf) for w in wells])
@@ -560,21 +585,29 @@ def run_workflow(config: RunConfig):
     report = RunReport(config_text=render_config(config), attempts=attempts,
                        chosen_attempt=len(attempts) - 1,
                        model=bundle.to_dict())
+    return report, bundle
 
-    out_volumes = None
-    if config.predict:
-        predicted = volpost.predict_volume(bundle, list(volumes.values()))
-        del volumes     # the filter runs without the three input volumes
+
+def _post_process(config: RunConfig, bundle: mlp.ModelBundle, sources):
+    """Sweep the model over the attribute volumes and median filter the
+    prediction.  Without an outdir both volumes are returned in memory;
+    with one they stream into sf_pred.svol and sf_pred_med.svol, the
+    filter reading the prediction back whole as its input, and None is
+    returned."""
+    if not config.outdir:
+        predicted = volpost.predict_volume(bundle, sources)
         filtered = volpost.median_filter_3d(predicted, config.filter_window)
-        out_volumes = {"sf_pred": predicted, "sf_pred_med": filtered}
-
-    if config.outdir:
-        write_run_outputs(config, report, bundle, out_volumes)
-    return report, bundle, out_volumes
+        return {"sf_pred": predicted, "sf_pred_med": filtered}
+    os.makedirs(config.outdir, exist_ok=True)
+    predicted = os.path.join(config.outdir, "sf_pred.svol")
+    volpost.predict_volume(bundle, sources, predicted)
+    volpost.median_filter_3d(read_svol(predicted), config.filter_window,
+                             os.path.join(config.outdir, "sf_pred_med.svol"))
+    return None
 
 
 def write_run_outputs(config: RunConfig, report: RunReport,
-                      bundle: mlp.ModelBundle, out_volumes) -> None:
+                      bundle: mlp.ModelBundle) -> None:
     os.makedirs(config.outdir, exist_ok=True)
     join = lambda name: os.path.join(config.outdir, name)
     with open(join("report.json"), "w") as fh:
@@ -586,8 +619,6 @@ def write_run_outputs(config: RunConfig, report: RunReport,
     with open(join("tables.csv"), "w") as fh:
         fh.write(report_tables(report, fmt="csv"))
     mlp.save_model(join("model.json"), bundle)
-    for name, vol in (out_volumes or {}).items():
-        write_svol(join(f"{name}.svol"), vol)
 
 
 def _fmt(x) -> str:

@@ -192,6 +192,26 @@ class TestExitCodes:
         bad.write_bytes(blob[:start + sizes[section] // 2])
         assert run("filter", "--in", bad, "--out", workdir / "unused.svol") == 3
 
+    def test_nan_in_valid_sample_fails_run_before_any_output(self, workdir,
+                                                             bench):
+        # a NaN far from every well: only the check made when the volume is
+        # opened can see it, before training and before outdir exists
+        blob = bytearray((bench / "imp.svol").read_bytes())
+        n_il, n_xl, ns, name_len = struct.unpack_from("<4I", blob, 8)
+        n = n_il * n_xl * ns
+        mask_at = 64 + name_len + 4 * (n_il + n_xl)
+        k = max(i for i in range(n) if blob[mask_at + i])
+        struct.pack_into("<d", blob, mask_at + n + 8 * k, float("nan"))
+        bad = workdir / "nan_sample.svol"
+        bad.write_bytes(bytes(blob))
+        cfg = workdir / "nan_sample.cfg"
+        cfg.write_text(synthbench.config_text(bench).replace(
+            str(bench / "imp.svol"), str(bad)))
+        outdir = workdir / "nan_sample_out"
+        assert run("run", "--config", cfg, "--set", "predict=true",
+                   "--set", "max_iters=20", "--set", f"outdir={outdir}") == 3
+        assert not outdir.exists() or not any(outdir.iterdir())
+
     @pytest.mark.parametrize("offset", [0, 238, 239])
     def test_header_offset_outside_trace_header_is_2(self, workdir, offset):
         sgy = workdir / "offsets.sgy"
@@ -362,6 +382,17 @@ class TestEndToEnd:
                    "--out", csv_path) == 0
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("time_ms,xline_")
+
+    def test_filter_in_place_matches_new_path(self, workdir, bench):
+        # the filter reads its input whole and writes through a temporary
+        # file, so --out may name --in
+        vol = workdir / "in_place.svol"
+        vol.write_bytes((bench / "imp.svol").read_bytes())
+        fresh = workdir / "in_place_fresh.svol"
+        assert run("filter", "--in", vol, "--out", fresh) == 0
+        assert run("filter", "--in", vol, "--out", vol) == 0
+        assert vol.read_bytes() == fresh.read_bytes()
+        assert not list(workdir.glob(".in_place*"))
 
     def test_regularize_report_keys(self, workdir, patterns):
         common = {"method", "entropy_original", "entropy_regularized",

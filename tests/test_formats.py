@@ -1,3 +1,4 @@
+import io
 import os
 import struct
 import tracemalloc
@@ -25,7 +26,14 @@ from seisreg.formats import (
 )
 from seisreg.errors import DataError
 from seisreg.formats.las import LasParseError
-from seisreg.formats.svol import BadVolumeFile, read_svol, write_svol
+from seisreg.formats.svol import (
+    BadVolumeFile,
+    SvolWriter,
+    create_svol,
+    open_svol,
+    read_svol,
+    write_svol,
+)
 from seisreg.formats.volume import SeismicVolume
 
 
@@ -333,6 +341,40 @@ class TestSvol:
         path = tmp_path / "v.svol"
         write_svol(path, vol)
         assert path.read_bytes() == encode_svol(vol)
+
+    def test_blocks_read_and_write_their_byte_ranges(self, tmp_path):
+        vol = self._volume()
+        path = tmp_path / "v.svol"
+        write_svol(path, vol)
+        flat_data, flat_mask = vol.data.reshape(-1), vol.mask.reshape(-1)
+        edges = [0, 1, 7, 16, 30]
+        buffer = io.BytesIO()
+        writer = SvolWriter(buffer, vol, vol.attribute_name)
+        # blocks written out of order land at their own offsets
+        for start, stop in reversed(list(zip(edges, edges[1:]))):
+            writer.write(start, flat_data[start:stop], flat_mask[start:stop])
+        assert buffer.getvalue() == encode_svol(vol)
+        with open_svol(path) as reader:
+            assert reader.shape == vol.data.shape
+            assert reader.same_geometry(vol)
+            for start, stop in zip(edges, edges[1:]):
+                data, mask = reader.read(start, stop)
+                np.testing.assert_array_equal(data, flat_data[start:stop])
+                np.testing.assert_array_equal(mask, flat_mask[start:stop])
+            data, mask = reader.trace(20, 3)
+            np.testing.assert_array_equal(data, vol.data[1, 2])
+            assert not mask.any()
+
+    def test_failed_write_leaves_the_target_alone(self, tmp_path):
+        vol = self._volume()
+        path = tmp_path / "v.svol"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with create_svol(path, vol, "imp") as writer:
+                writer.write(0, vol.data[:1], vol.mask[:1])
+                raise RuntimeError("part way")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["v.svol"]
 
     # a cut inside each section of the 2x3x5 volume named "imp": header
     # 0-64, name 64-67, inlines 67-75, xlines 75-87, mask 87-117, samples

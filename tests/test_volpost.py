@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from seisreg import volpost
 from seisreg.errors import ConfigError
+from seisreg.formats.svol import open_svol, read_svol, write_svol
 from seisreg.formats.volume import SeismicVolume
 from seisreg.mlp import ModelBundle, forward_batch, init_model
 from seisreg.resample import MinMaxStats, ZscoreStats
@@ -256,6 +258,82 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < {"predict": 10, "median": 6}[stage] * attrs[0].data.nbytes
+
+
+class TestStreamed:
+    """With a path as `out`, each stage writes its blocks to a `.svol`, and
+    the sweep reads open `.svol` files block by block."""
+
+    def _sources(self, tmp_path, shape, seed=5):
+        rng = np.random.default_rng(seed)
+        paths = []
+        for name in ("imp", "amp", "freq"):
+            path = tmp_path / f"{name}_{shape[0]}.svol"
+            write_svol(path, make_volume(rng.uniform(0, 2, shape),
+                                         mask=rng.uniform(0, 1, shape) > 0.1,
+                                         name=name))
+            paths.append(path)
+        return paths
+
+    def test_streamed_outputs_match_in_memory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(volpost, "BLOCK_ROWS", 64)
+        bundle = make_bundle(seed=2, hidden=10)
+        paths = self._sources(tmp_path, (5, 7, 13))
+        with contextlib.ExitStack() as stack:
+            sources = [stack.enter_context(open_svol(p)) for p in paths]
+            assert predict_volume(bundle, sources, tmp_path / "p.svol") is None
+        in_memory = predict_volume(bundle, [read_svol(p) for p in paths])
+        streamed = read_svol(tmp_path / "p.svol")
+        np.testing.assert_array_equal(streamed.data, in_memory.data)
+        np.testing.assert_array_equal(streamed.mask, in_memory.mask)
+        assert median_filter_3d(streamed, 3, tmp_path / "m.svol") is None
+        filtered = read_svol(tmp_path / "m.svol")
+        np.testing.assert_array_equal(filtered.data,
+                                      median_filter_3d(in_memory, 3).data)
+
+    def test_failed_sweep_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(volpost, "BLOCK_ROWS", 8)
+        bundle = make_bundle()
+        predict = bundle.predict
+        calls = []
+
+        def fail_on_second_block(inputs):
+            calls.append(len(inputs))
+            if len(calls) == 2:
+                raise RuntimeError("second block")
+            return predict(inputs)
+
+        monkeypatch.setattr(bundle, "predict", fail_on_second_block)
+        attrs = [make_volume(np.ones((3, 4, 5)), name=n)
+                 for n in ("imp", "amp", "freq")]
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(RuntimeError, match="second block"):
+            predict_volume(bundle, attrs, out / "sf_pred.svol")
+        assert len(calls) == 2
+        assert not list(out.iterdir())
+
+    def test_streamed_sweep_peak_does_not_grow_with_inlines(self, tmp_path,
+                                                            monkeypatch):
+        # sources and sink hold one block at a time; in memory, the three
+        # inputs and the output alone would double with the inlines
+        monkeypatch.setattr(volpost, "BLOCK_ROWS", 1 << 10)
+        bundle = make_bundle(hidden=10)
+        peaks = []
+        for n_inlines in (16, 32):
+            paths = self._sources(tmp_path, (n_inlines, 32, 64))
+            with contextlib.ExitStack() as stack:
+                sources = [stack.enter_context(open_svol(p)) for p in paths]
+                tracemalloc.start()
+                try:
+                    predict_volume(bundle, sources,
+                                   tmp_path / f"sf_{n_inlines}.svol")
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0]
+        # 32x32x64 voxels: one input volume alone is 0.5 MiB
+        assert peaks[1] < 32 * 32 * 64 * 8
 
 
 class TestHeatmapCsv:
