@@ -203,7 +203,7 @@ def _cmd_run(args):
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
     config = pipeline.parse_config(text, overrides)
-    report, _, _ = pipeline.run_workflow(config)
+    report, _ = pipeline.run_workflow(config)
     final = report.final
     pooled = final["validation_pooled"]
     print(f"method={final['method_params']['method']} "
@@ -212,18 +212,15 @@ def _cmd_run(args):
     if config.outdir:
         print(f"outputs in {config.outdir}")
     else:
-        sys.stdout.write(pipeline.report_tables(report))
+        sys.stdout.write(pipeline.report_tables(final))
 
 
 def _cmd_report(args):
     with open(args.report) as fh:
         try:
             data = json.load(fh)
-            report = pipeline.RunReport(config_text=data.get("config", ""),
-                                        attempts=data["attempts"],
-                                        chosen_attempt=data["chosen_attempt"],
-                                        model=data.get("model"))
-            text = pipeline.report_tables(report, fmt=args.format)
+            text = pipeline.report_tables(
+                data["attempts"][data["chosen_attempt"]], fmt=args.format)
         except (ValueError, LookupError, TypeError, AttributeError) as exc:
             raise DataError(f"{args.report}: not a run report "
                             f"({type(exc).__name__}: {exc})") from None

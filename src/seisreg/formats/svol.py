@@ -46,6 +46,8 @@ class SvolReader(Grid):
         magic, n_il, n_xl, ns, name_len, t0_ms, dt_ms = HEADER.unpack_from(head)
         if magic != MAGIC:
             raise BadVolumeFile(f"bad magic {magic!r}")
+        if 0 in (n_il, n_xl, ns):
+            raise BadVolumeFile(f"empty volume {n_il}x{n_xl}x{ns}")
         self.shape = (n_il, n_xl, ns)
         self._mask_at = HEADER_LEN + name_len + 4 * (n_il + n_xl)
         self._data_at = self._mask_at + self.n_voxels

@@ -195,9 +195,9 @@ def gradient(model: MlpModel, inputs, targets) -> np.ndarray:
 
 @dataclass
 class ScgParams:
+    max_iters: int
     sigma: float = 1e-4
     lambda1: float = 1e-4
-    max_iters: int = 500
     target_loss: float = 0.0
 
     def __post_init__(self):
@@ -334,10 +334,8 @@ def scg_minimize(objective, w0: np.ndarray, params: ScgParams):
     return w, history
 
 
-def scg_train(model: MlpModel, inputs, targets,
-              params: ScgParams | None = None):
+def scg_train(model: MlpModel, inputs, targets, params: ScgParams):
     """Train the model on a pattern set; returns (trained model, history)."""
-    params = params or ScgParams()
     inputs, targets = _patterns(model, inputs, targets)
     objective = _objective(model.n_in, model.n_hidden, inputs, targets)
     w, history = scg_minimize(objective, model.flatten(), params)

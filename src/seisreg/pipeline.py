@@ -103,7 +103,7 @@ def _regularize_ft(target, config, predictor):
 def _regularize_wd(target, config, predictor):
     return waveletreg.regularize_wd(
         target, wavelet=config.wavelet, levels=config.wd_levels,
-        truncate_details=config.truncate_details)
+        truncate_details=_wd_truncation(config))
 
 
 def _regularize_emd(target, config, predictor):
@@ -113,7 +113,9 @@ def _regularize_emd(target, config, predictor):
 
 
 def _wd_truncation(config) -> list:
-    """The detail levels wd truncates; by default all but the coarsest."""
+    """The detail levels wd truncates; by default all but the coarsest,
+    which keeps the smooth trend while dropping the fine structure the
+    predictors cannot carry."""
     if config.truncate_details is None:
         return list(range(1, config.wd_levels))
     return sorted(set(config.truncate_details))
@@ -210,6 +212,9 @@ class RunConfig:
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, "
                                   f"got {getattr(self, name)}")
+        if self.predict and not self.outdir:
+            raise ConfigError("predict = true needs outdir, where the "
+                              "predicted volumes are written")
         levels = range(1, self.wd_levels + 1)
         if not set(self.truncate_details or ()) <= set(levels):
             raise ConfigError(f"truncate {self.truncate_details} outside "
@@ -403,8 +408,12 @@ def _good_fit(report: metrics.MetricsReport) -> bool:
 class RunReport:
     config_text: str
     attempts: list
-    chosen_attempt: int
     model: dict | None = None
+
+    @property
+    def chosen_attempt(self) -> int:
+        # the schedule stops at the first good attempt, so the last one stands
+        return len(self.attempts) - 1
 
     @property
     def final(self) -> dict:
@@ -508,20 +517,19 @@ def _run_attempt(wells, bounds, config: RunConfig, inputs, input_stats,
 
 
 def run_workflow(config: RunConfig):
-    """Execute the full three-stage workflow.
+    """Execute the full three-stage workflow; returns (RunReport,
+    ModelBundle).
 
-    Returns (RunReport, ModelBundle, volumes dict or None).  When the
-    pooled validation CC falls below the configured threshold the
+    When the pooled validation CC falls below the configured threshold the
     regularization is tightened per the fixed schedule and the model
     building stage repeats, at most max_attempts times, every attempt
     logged.  A tightened setting the engine rejects ends the schedule: the
     completed attempts stand, the last one recording why
     (`tightening_stopped`).
 
-    The attribute volumes are read by block and never held whole.  With
-    `predict` set, the predicted and filtered volumes are returned in
-    memory; with `outdir` also set, they go to disk as they are computed
-    and the third item is None."""
+    The attribute volumes are read by block and never held whole; with
+    `predict` set, the predicted and filtered volumes stream into
+    `outdir`."""
     if not config.wells:
         raise ConfigError("no wells configured")
     with contextlib.ExitStack() as stack:
@@ -535,12 +543,11 @@ def run_workflow(config: RunConfig):
                 raise DataError(f"{name} volume geometry differs from imp")
         wells = [prepare_well(wc, volumes, config.dt_ms) for wc in config.wells]
         report, bundle = _build_model(config, wells)
-        out_volumes = None
         if config.predict:
-            out_volumes = _post_process(config, bundle, list(volumes.values()))
+            _post_process(config, bundle, list(volumes.values()))
     if config.outdir:
         write_run_outputs(config, report, bundle)
-    return report, bundle, out_volumes
+    return report, bundle
 
 
 def _build_model(config: RunConfig, wells):
@@ -583,27 +590,19 @@ def _build_model(config: RunConfig, wells):
         params = tightened
 
     report = RunReport(config_text=render_config(config), attempts=attempts,
-                       chosen_attempt=len(attempts) - 1,
                        model=bundle.to_dict())
     return report, bundle
 
 
-def _post_process(config: RunConfig, bundle: mlp.ModelBundle, sources):
-    """Sweep the model over the attribute volumes and median filter the
-    prediction.  Without an outdir both volumes are returned in memory;
-    with one they stream into sf_pred.svol and sf_pred_med.svol, the
-    filter reading the prediction back whole as its input, and None is
-    returned."""
-    if not config.outdir:
-        predicted = volpost.predict_volume(bundle, sources)
-        filtered = volpost.median_filter_3d(predicted, config.filter_window)
-        return {"sf_pred": predicted, "sf_pred_med": filtered}
+def _post_process(config: RunConfig, bundle: mlp.ModelBundle, sources) -> None:
+    """Sweep the model over the attribute volumes into sf_pred.svol and
+    median filter it into sf_pred_med.svol, both in outdir; the filter
+    reads the prediction back whole as its input."""
     os.makedirs(config.outdir, exist_ok=True)
     predicted = os.path.join(config.outdir, "sf_pred.svol")
     volpost.predict_volume(bundle, sources, predicted)
     volpost.median_filter_3d(read_svol(predicted), config.filter_window,
                              os.path.join(config.outdir, "sf_pred_med.svol"))
-    return None
 
 
 def write_run_outputs(config: RunConfig, report: RunReport,
@@ -615,9 +614,9 @@ def write_run_outputs(config: RunConfig, report: RunReport,
     with open(join("resolved.cfg"), "w") as fh:
         fh.write(report.config_text)
     with open(join("tables.txt"), "w") as fh:
-        fh.write(report_tables(report, fmt="text"))
+        fh.write(report_tables(report.final, fmt="text"))
     with open(join("tables.csv"), "w") as fh:
-        fh.write(report_tables(report, fmt="csv"))
+        fh.write(report_tables(report.final, fmt="csv"))
     mlp.save_model(join("model.json"), bundle)
 
 
@@ -627,18 +626,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def report_tables(report: RunReport, fmt: str = "text") -> str:
-    """Render the entropy, NMI and per-well validation tables of the chosen
-    attempt, with the good-fit verdict per well."""
-    final = report.final
+def report_tables(attempt: dict, fmt: str = "text") -> str:
+    """Render the entropy, NMI and per-well validation tables of one
+    attempt (a run's chosen one), with the good-fit verdict per well."""
     out = io.StringIO()
     sep = "," if fmt == "csv" else "  "
 
     def emit(*cells):
         print(sep.join(str(c) for c in cells), file=out)
 
-    for well_id in sorted(final["tables"]):
-        tables = final["tables"][well_id]
+    for well_id in sorted(attempt["tables"]):
+        tables = attempt["tables"][well_id]
         emit(f"# entropy_bits well={well_id}")
         emit("variable", "entropy_bits")
         for name in sorted(tables["entropy_bits"]):
@@ -653,17 +651,17 @@ def report_tables(report: RunReport, fmt: str = "text") -> str:
          f"(good fit: CC>{GOOD_FIT['cc_min']}, RMSE<{GOOD_FIT['rmse_max']}, "
          f"AEM<{GOOD_FIT['aem_max']}, SI<{GOOD_FIT['si_max']})")
     emit("well", "cc", "rmse", "aem", "si", "verdict")
-    for well_id in sorted(final["validation"]):
-        row = final["validation"][well_id]
-        verdict = "pass" if final["good_fit"][well_id] else "FAIL"
+    for well_id in sorted(attempt["validation"]):
+        row = attempt["validation"][well_id]
+        verdict = "pass" if attempt["good_fit"][well_id] else "FAIL"
         emit(well_id, _fmt(row["cc"]), _fmt(row["rmse"]), _fmt(row["aem"]),
              _fmt(row["si"]), verdict)
-    pooled = final["validation_pooled"]
+    pooled = attempt["validation_pooled"]
     emit("pooled", _fmt(pooled["cc"]), _fmt(pooled["rmse"]),
          _fmt(pooled["aem"]), _fmt(pooled["si"]), "")
     emit()
     emit("# test (pooled)")
-    test = final["test"]
+    test = attempt["test"]
     emit("cc", "rmse", "aem", "si")
     emit(_fmt(test["cc"]), _fmt(test["rmse"]), _fmt(test["aem"]),
          _fmt(test["si"]))

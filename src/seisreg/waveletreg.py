@@ -180,17 +180,12 @@ def idwt(coeffs: WaveletCoeffs, spec: WaveletSpec | str = "db4") -> np.ndarray:
     return x
 
 
-def regularize_wd(series: TimeSeries, wavelet: str = "db4", levels: int = 6,
-                  truncate_details=None):
-    """Zero the selected detail levels and rebuild.
-
-    Default truncation set is every level but the coarsest, which keeps the
-    smooth trend while dropping the fine structure the predictors cannot
-    carry.  Returns (regularized TimeSeries, detail dict).
+def regularize_wd(series: TimeSeries, truncate_details, wavelet: str = "db4",
+                  levels: int = 6):
+    """Zero the detail levels in `truncate_details` (1 is the finest) and
+    rebuild.  Returns (regularized TimeSeries, detail dict).
     """
     spec = WaveletSpec.named(wavelet)
-    if truncate_details is None:
-        truncate_details = set(range(1, levels))
     truncate_details = set(int(i) for i in truncate_details)
     if not truncate_details <= set(range(1, levels + 1)):
         raise ConfigError(

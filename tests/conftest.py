@@ -33,7 +33,7 @@ def workflow_reports(bench_config_text):
             bench_config_text,
             {"method": method, "max_iters": "1500", "max_attempts": "1"},
         )
-        report, bundle, _ = pipeline.run_workflow(config)
+        report, _ = pipeline.run_workflow(config)
         reports[method] = report
     return reports
 

@@ -33,7 +33,7 @@ def build_baseline():
         for method in pipeline.METHODS:
             config = pipeline.parse_config(
                 text, {**ACCEPTANCE_OVERRIDES, "method": method})
-            report, _, _ = pipeline.run_workflow(config)
+            report, _ = pipeline.run_workflow(config)
             final = report.final
             baseline["methods"][method] = {
                 "validation_pooled": final["validation_pooled"],

@@ -91,7 +91,7 @@ class TestCriterion3ScgContract:
         rmse = math.sqrt(np.mean((mlp.forward_batch(trained, X) - d) ** 2))
         assert rmse < 0.01 and history.iterations <= 500
         with pytest.raises(Exception):
-            mlp.ScgParams(sigma=2e-4)
+            mlp.ScgParams(max_iters=500, sigma=2e-4)
         announce("3 (SCG contract)")
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from seisreg import cli, mlp, pipeline, synthbench
+from seisreg.formats import svol
 from seisreg.formats.segy import TraceLayout
 from seisreg.formats.svol import read_svol
 from seisreg.resample import MinMaxStats, ZscoreStats
@@ -86,14 +87,16 @@ class TestExitCodes:
         "dt_ms=inf", "dt_ms=-inf",
         "sigma=2e-4", "lambda1=0", "max_iters=-1", "hidden=0", "mi_bins=1",
         "wavelet=sym5", "wd_levels=0", "truncate=9", "p1=0", "avg_span=4",
-        "sd_threshold=5", "zeta_max_hz=-1"])
+        "sd_threshold=5", "zeta_max_hz=-1", "predict=true"])
     def test_bad_run_setting_is_2_before_reading_inputs(self, workdir, setting):
-        # the inputs do not exist: reading any of them would exit 3
+        # the inputs do not exist: reading any of them would exit 3.  Every
+        # case but predict=true alone runs with predict and its outdir set.
         missing = workdir / "missing"
         cfg = workdir / "bad_setting.cfg"
         cfg.write_text(synthbench.config_text(missing))
-        assert run("run", "--config", cfg, "--set", "predict=true",
-                   "--set", setting) == 2
+        predict = [] if setting == "predict=true" else [
+            "--set", "predict=true", "--set", f"outdir={missing / 'out'}"]
+        assert run("run", "--config", cfg, *predict, "--set", setting) == 2
 
     def test_nan_prep_dt_is_2(self, workdir, bench):
         assert run("prep", "--imp", bench / "imp.svol", "--amp", bench / "amp.svol",
@@ -142,9 +145,11 @@ class TestExitCodes:
                    "--out", workdir / "unused.svol") == 3
 
     def test_malformed_report_is_3(self, workdir):
-        report = workdir / "empty_report.json"
-        report.write_text("{}")
-        assert run("report", report) == 3
+        report = workdir / "malformed_report.json"
+        for text in ("{}", "[]", '{"attempts": [], "chosen_attempt": 0}',
+                     '{"attempts": [{}], "chosen_attempt": 0}'):
+            report.write_text(text)
+            assert run("report", report) == 3, text
 
     def test_model_stats_width_mismatch_is_3(self, workdir, patterns, bench):
         model = workdir / "narrow_stats.json"
@@ -174,6 +179,19 @@ class TestExitCodes:
         bad = workdir / "bad_name.svol"
         bad.write_bytes(bytes(blob))
         assert run("filter", "--in", bad, "--out", workdir / "unused.svol") == 3
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3), (2, 3, 0)])
+    def test_zero_dimension_svol_is_3(self, workdir, shape, capsys):
+        n_il, n_xl, ns = shape
+        blob = svol.HEADER.pack(svol.MAGIC, n_il, n_xl, ns, 0, 0.0, 1.0).ljust(
+            svol.HEADER_LEN, b"\x00")
+        blob += np.arange(n_il, dtype="<i4").tobytes()
+        blob += np.arange(n_xl, dtype="<i4").tobytes()
+        bad = workdir / "empty_{}x{}x{}.svol".format(*shape)
+        bad.write_bytes(blob)      # the mask and sample sections are empty
+        assert run("filter", "--in", bad, "--out", workdir / "unused.svol") == 3
+        assert run("slice", "--in", bad, "--inline", 0) == 3
+        assert "empty volume" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section", ["header", "name", "inlines", "xlines", "mask", "samples"])
@@ -429,6 +447,9 @@ class TestEndToEnd:
         assert run("report", outdir / "report.json") == 0
         out = capsys.readouterr().out
         assert "# validation per well" in out
+        assert out == (outdir / "tables.txt").read_text()
+        assert run("report", outdir / "report.json", "--format", "csv") == 0
+        assert capsys.readouterr().out == (outdir / "tables.csv").read_text()
 
 
 def _modules_after(code):

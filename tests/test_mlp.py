@@ -296,11 +296,11 @@ class TestScg:
 
     def test_param_constraints(self):
         with pytest.raises(ConfigError):
-            ScgParams(sigma=1e-3)
+            ScgParams(max_iters=10, sigma=1e-3)
         with pytest.raises(ConfigError):
-            ScgParams(sigma=0.0)
+            ScgParams(max_iters=10, sigma=0.0)
         with pytest.raises(ConfigError):
-            ScgParams(lambda1=2e-4)
+            ScgParams(max_iters=10, lambda1=2e-4)
 
     def test_no_line_search_knobs(self):
         # the trainer exposes only the two scale constants and termination

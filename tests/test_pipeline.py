@@ -12,7 +12,6 @@ from seisreg.pipeline import (
     METHODS,
     PARAMS,
     RunConfig,
-    RunReport,
     SpanTooLarge,
     WellConfig,
     WellData,
@@ -127,7 +126,8 @@ class TestConfig:
         ("0", False), ("false", False), ("False", False), ("No", False)])
     def test_bool_spellings(self, value, expected):
         # render_config writes True/False, which must parse back
-        assert parse_config("", {"predict": value}).predict is expected
+        assert parse_config("", {"predict": value,
+                                 "outdir": "out"}).predict is expected
 
     def test_unknown_key_rejected(self):
         for text in ("mystery = 1", "gate_tol_bits = 0.05"):
@@ -237,11 +237,10 @@ class TestWorkflow:
     def test_structure_and_disjointness(self, bench_config_text):
         config = parse_config(bench_config_text,
                               {"method": "none", "max_iters": "60"})
-        report, bundle, volumes = run_workflow(config)
+        report, bundle = run_workflow(config)
         final = report.final
         assert set(final["validation"]) == set("ABCD")
         assert final["train"]["iterations"] <= 60
-        assert volumes is None
         assert bundle.model.n_in == 3
         # every attempt carries the complete table set
         for attempt in report.attempts:
@@ -252,7 +251,7 @@ class TestWorkflow:
             "method": "ft", "max_iters": "40",
             "validation_cc_threshold": "0.999", "max_attempts": "3",
         })
-        report, _, _ = run_workflow(config)
+        report, _ = run_workflow(config)
         assert len(report.attempts) == 3
         zetas = [a["method_params"]["zeta_max_hz"] for a in report.attempts]
         assert zetas[1] == pytest.approx(zetas[0] * 0.8)
@@ -264,7 +263,7 @@ class TestWorkflow:
         config = parse_config(bench_config_text, {
             "method": "wd", "max_iters": "20", "validation_cc_threshold": "0.999",
             "max_attempts": "2", **settings})
-        report, _, _ = run_workflow(config)
+        report, _ = run_workflow(config)
         assert len(report.attempts) == 2
         for attempt in report.attempts:
             for detail in attempt["regularization"].values():
@@ -275,7 +274,7 @@ class TestWorkflow:
     def test_rejected_tightening_keeps_completed_attempts(self, bench_config_text):
         settings = {"method": "ft", "zeta_max_hz": "5", "max_iters": "20",
                     "validation_cc_threshold": "0.999", "max_attempts": "3"}
-        report, _, _ = run_workflow(parse_config(bench_config_text, settings))
+        report, _ = run_workflow(parse_config(bench_config_text, settings))
         # 5 Hz leaves 3 bins; the tightened 4 Hz leaves 1 and is rejected
         assert [a["attempt"] for a in report.attempts] == [0]
         assert report.chosen_attempt == 0
@@ -311,26 +310,25 @@ class TestWorkflow:
             "method": "none", "max_iters": "40",
             "validation_cc_threshold": "0.999", "max_attempts": "3",
         })
-        report, _, _ = run_workflow(config)
+        report, _ = run_workflow(config)
         assert len(report.attempts) == 1
 
     def test_report_json_roundtrip(self, bench_config_text):
         config = parse_config(bench_config_text,
                               {"method": "none", "max_iters": "40"})
-        report, _, _ = run_workflow(config)
+        report, _ = run_workflow(config)
         data = json.loads(report.to_json())
-        again = RunReport(config_text=data["config"], attempts=data["attempts"],
-                          chosen_attempt=data["chosen_attempt"],
-                          model=data["model"])
-        assert report_tables(again) == report_tables(report)
+        assert data["chosen_attempt"] == report.chosen_attempt
+        again = data["attempts"][data["chosen_attempt"]]
+        assert report_tables(again) == report_tables(report.final)
 
 
-def fake_report(cc=1.0, rmse=0.0, aem=0.0, si=0.0):
+def fake_attempt(cc=1.0, rmse=0.0, aem=0.0, si=0.0):
     wells = {"A": {"cc": cc, "rmse": rmse, "aem": aem, "si": si}}
     pooled = dict(wells["A"])
     good = (not math.isnan(cc) and cc > 0.80 and rmse < 0.15 and aem < 0.15
             and not math.isnan(si) and si < 0.35)
-    attempt = {
+    return {
         "method_params": {"method": "ft"},
         "tables": {"A": {"entropy_bits": {"original_sf": 1.0},
                          "nmi": {"impedance": {"original": 0.1,
@@ -339,18 +337,17 @@ def fake_report(cc=1.0, rmse=0.0, aem=0.0, si=0.0):
         "test": pooled, "validation": wells, "validation_pooled": pooled,
         "good_fit": {"A": good},
     }
-    return RunReport(config_text="", attempts=[attempt], chosen_attempt=0)
 
 
 class TestReportTables:
     def test_perfect_predictions_all_pass(self):
-        text = report_tables(fake_report())
+        text = report_tables(fake_attempt())
         assert "A  1.0000  0.0000  0.0000  0.0000  pass" in text
 
     def test_undefined_cc_is_failure(self):
-        text = report_tables(fake_report(cc=math.nan))
+        text = report_tables(fake_attempt(cc=math.nan))
         assert "FAIL" in text and "nan" in text
 
     def test_csv_format(self):
-        csv = report_tables(fake_report(), fmt="csv")
+        csv = report_tables(fake_attempt(), fmt="csv")
         assert "well,cc,rmse,aem,si,verdict" in csv
