@@ -363,15 +363,20 @@ def prepare_well(well_cfg: WellConfig, volumes: dict, dt_ms: float) -> WellData:
             f"well {well_cfg.well_id}: no inline/xline in config or LAS ~W (ILIN/XLIN)"
         )
 
-    traces = {}
+    # traces on one time axis share one sinc kernel, a channel each
+    by_axis = {}
     for name, vol in volumes.items():
         samples, mask = vol.trace(inline, xline)
         if not mask.all():
             raise DataError(f"well {well_cfg.well_id}: {name} trace is masked at "
                             f"({inline}, {xline})")
-        trace_ts = TimeSeries(vol.t0_ms, vol.dt_ms, samples)
-        traces[name] = resample.sinc_resample(trace_ts, sf_ts.t0_ms, dt_ms,
-                                              len(sf_ts)).values
+        axis = (vol.t0_ms, vol.dt_ms, len(samples))
+        by_axis.setdefault(axis, {})[name] = samples
+    traces = {}
+    for (t0_ms, src_dt_ms, _), group in by_axis.items():
+        trace_ts = TimeSeries(t0_ms, src_dt_ms, np.column_stack(list(group.values())))
+        fine = resample.sinc_resample(trace_ts, sf_ts.t0_ms, dt_ms, len(sf_ts))
+        traces.update(zip(group, fine.values.T.copy()))
     return WellData(
         well_id=well_cfg.well_id, t0_ms=sf_ts.t0_ms, dt_ms=dt_ms, sf=sf_ts.values,
         imp=traces["imp"], amp=traces["amp"], freq=traces["freq"],
@@ -692,55 +697,65 @@ def _parse_pattern_rows(rows: list) -> np.ndarray:
                       comments=None, ndmin=2)
 
 
-def _bad_pattern_row(path, lines: list) -> DataError:
-    """The error naming the first of `lines` (file line 2 onwards) that is
+def _bad_pattern_row(path) -> DataError:
+    """The error naming the first line of `path` after its header that is
     neither blank nor a well id and five numbers."""
-    for lineno, line in enumerate(lines, 2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            if line.count(",") != 5:
-                raise ValueError
-            _parse_pattern_rows([line])
-        except ValueError:
-            return DataError(f"{path}:{lineno}: expected a well id and five "
-                             f"numbers, got {line!r}")
+    with open(path) as fh:
+        next(fh)
+        for lineno, line in enumerate(fh, 2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                if line.count(",") != 5:
+                    raise ValueError
+                _parse_pattern_rows([line])
+            except ValueError:
+                return DataError(f"{path}:{lineno}: expected a well id and five "
+                                 f"numbers, got {line!r}")
     return DataError(f"{path}: expected a well id and five numbers per row")
+
+
+# Lines of a pattern CSV parsed per np.loadtxt call
+PATTERN_CHUNK_LINES = 1 << 12
 
 
 def read_patterns_csv(path) -> list:
     """Inverse of write_patterns_csv; returns a list of WellData.
 
+    The body is parsed `PATTERN_CHUNK_LINES` lines at a time, one
+    np.loadtxt per chunk, so no more than a chunk of text is held at once.
     Blank lines are skipped.  A row that is not a well id and five numbers
-    is a DataError naming its `path:line`, and so is a file with no rows
-    after its header.
+    is a DataError naming its `path:line` (only then is the file read a
+    second time, to find that line), and so is a file with no rows after
+    its header.
     """
+    by_well = {}
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "well,time_ms,imp,amp,freq,sf":
             raise DataError(f"unexpected pattern CSV header: {header!r}")
-        body = fh.read()
-    lines = body.split("\n")
-    rows = [row for row in map(str.strip, lines) if row]
-    if not rows:
+        while lines := list(itertools.islice(fh, PATTERN_CHUNK_LINES)):
+            rows = [row for row in map(str.strip, lines) if row]
+            if not rows:
+                continue
+            try:
+                table = _parse_pattern_rows(rows)
+            except ValueError:
+                raise _bad_pattern_row(path) from None
+            # every row has at least five commas, so this total means exactly five
+            if sum(row.count(",") for row in rows) != 5 * len(rows):
+                raise _bad_pattern_row(path)
+            start = 0
+            for well_id, run in itertools.groupby(row[:row.index(",")] for row in rows):
+                stop = start + len(list(run))
+                by_well.setdefault(well_id, []).append(table[start:stop])
+                start = stop
+    if not by_well:
         raise DataError(f"{path}: no pattern rows after the header")
-    try:
-        table = _parse_pattern_rows(rows)
-    except ValueError:
-        raise _bad_pattern_row(path, lines) from None
-    # every row has at least five commas, so this total means exactly five
-    if body.count(",") != 5 * len(rows):
-        raise _bad_pattern_row(path, lines)
-    by_well = {}
-    start = 0
-    for well_id, run in itertools.groupby(row[:row.index(",")] for row in rows):
-        stop = start + len(list(run))
-        by_well.setdefault(well_id, []).append(np.arange(start, stop))
-        start = stop
     wells = []
     for well_id, runs in by_well.items():
-        arr = table[np.concatenate(runs)]
+        arr = np.concatenate(runs)
         times = arr[:, 0]
         steps = np.diff(times)
         if len(steps) == 0:

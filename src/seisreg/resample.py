@@ -134,6 +134,11 @@ def depth_to_time(depths_m, values, vp: VelocityProfile, dt_out_ms: float) -> Ti
                       values=np.interp(grid, times, values))
 
 
+# Output rows per sinc kernel block: 256 rows of reciprocals over 512 source
+# samples is 1 MiB, whatever the length of the log.
+SINC_ROWS = 1 << 8
+
+
 def sinc_resample(trace: TimeSeries, target_t0_ms: float, target_dt_ms: float,
                   n_out: int) -> TimeSeries:
     """Whittaker-Shannon reconstruction of a band-limited trace on a finer grid.
@@ -146,9 +151,16 @@ def sinc_resample(trace: TimeSeries, target_t0_ms: float, target_dt_ms: float,
 
     so the kernel row of t is (-1)^r sin(pi f) / pi * (-1)^n / (a - n): one
     sine per output sample, and a matrix of reciprocals in place of a sinc
-    per kernel element.  The cost is still O(N*M) divisions, which is fine
-    for logs of a few thousand samples.  An output instant that falls on a
-    source sample (f == 0) takes that sample exactly.
+    per kernel element.  An output instant that falls on a source sample
+    (f == 0) takes that sample exactly.
+
+    `trace.values` is (n_src,) or (n_src, k), k channels sampled at the same
+    instants; the output has the same layout.  The cost is O(N*M) divisions
+    per call, shared by the channels, but the reciprocals are built
+    `SINC_ROWS` output rows at a time in one reused block, so the working
+    memory is set by the block and the trace length, not by n_out.  Each
+    channel gets exactly the bits a call on that channel alone gives: those
+    of one gemv over all rows on one BLAS thread.
     """
     if target_dt_ms > trace.dt_ms:
         raise DownsampleRequested(
@@ -166,17 +178,34 @@ def sinc_resample(trace: TimeSeries, target_t0_ms: float, target_dt_ms: float,
     r = np.rint(a)
     f = a - r
     on_source = f == 0
-    values = np.empty(n_out)
-    values[on_source] = trace.values[r[on_source].astype(np.intp)]
+    samples = trace.values.reshape(len(trace), -1)
+    values = np.empty((n_out, samples.shape[1]))
+    values[on_source] = samples[r[on_source].astype(np.intp)]
     between = ~on_source
-    alternating = trace.values.copy()
-    alternating[1::2] *= -1.0
-    reciprocals = np.subtract.outer(a[between], np.arange(len(trace), dtype=np.float64))
-    np.reciprocal(reciprocals, out=reciprocals)
+    a = a[between]
+    # one contiguous row per channel, odd samples negated
+    alternating = np.array(samples.T, order="C")
+    alternating[:, 1::2] *= -1.0
+    sums = np.empty((len(alternating), len(a)))
+    n = np.arange(len(trace), dtype=np.float64)
+    block = np.empty((min(SINC_ROWS + 1, len(a)), len(trace)))
+    # Every block but the last holds a multiple of 4 rows, and a lone last
+    # row (numpy's dot, not the gemv) joins the block before it: OpenBLAS
+    # then rounds each row as one single-threaded gemv over all rows does.
+    # One gemv over thousands of rows is split across threads at a row
+    # that need not be a multiple of 4, which rounds that row otherwise.
+    edges = [*range(0, max(len(a) - 1, 1), SINC_ROWS), len(a)]
+    for start, stop in zip(edges, edges[1:]):
+        reciprocals = block[:stop - start]
+        np.subtract.outer(a[start:stop], n, out=reciprocals)
+        np.reciprocal(reciprocals, out=reciprocals)
+        for channel, row in zip(alternating, sums):
+            np.matmul(reciprocals, channel, out=row[start:stop])
     scale = np.sin(np.pi * f[between]) / np.pi
     scale[r[between] % 2 == 1] *= -1.0
-    values[between] = scale * (reciprocals @ alternating)
-    return TimeSeries(t0_ms=float(t_out[0]), dt_ms=target_dt_ms, values=values)
+    values[between] = (scale * sums).T
+    return TimeSeries(t0_ms=float(t_out[0]), dt_ms=target_dt_ms,
+                      values=values.reshape((n_out, *trace.values.shape[1:])))
 
 
 @dataclass

@@ -1,11 +1,15 @@
+import itertools
 import json
 import math
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seisreg import resample, synthbench
+from seisreg import cli, pipeline, resample, synthbench
 from seisreg.errors import ConfigError, DataError
 from seisreg.ftreg import BandTooNarrow
 from seisreg.pipeline import (
@@ -187,6 +191,102 @@ class TestMethodParams:
         assert tightened(RunConfig(method="avg9")) is None
 
 
+def _whole_file_reader(path) -> list:
+    """read_patterns_csv as it was before it read in chunks: the whole body
+    at once, one np.loadtxt over every row.  The chunked reader must give
+    the same wells, or the same error, on any file."""
+    def bad_row(lines):
+        for lineno, line in enumerate(lines, 2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                if line.count(",") != 5:
+                    raise ValueError
+                pipeline._parse_pattern_rows([line])
+            except ValueError:
+                return DataError(f"{path}:{lineno}: expected a well id and five "
+                                 f"numbers, got {line!r}")
+        return DataError(f"{path}: expected a well id and five numbers per row")
+
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != "well,time_ms,imp,amp,freq,sf":
+            raise DataError(f"unexpected pattern CSV header: {header!r}")
+        body = fh.read()
+    lines = body.split("\n")
+    rows = [row for row in map(str.strip, lines) if row]
+    if not rows:
+        raise DataError(f"{path}: no pattern rows after the header")
+    try:
+        table = pipeline._parse_pattern_rows(rows)
+    except ValueError:
+        raise bad_row(lines) from None
+    if body.count(",") != 5 * len(rows):
+        raise bad_row(lines)
+    by_well = {}
+    start = 0
+    for well_id, run in itertools.groupby(row[:row.index(",")] for row in rows):
+        stop = start + len(list(run))
+        by_well.setdefault(well_id, []).append(np.arange(start, stop))
+        start = stop
+    wells = []
+    for well_id, runs in by_well.items():
+        arr = table[np.concatenate(runs)]
+        times = arr[:, 0]
+        steps = np.diff(times)
+        if len(steps) == 0:
+            raise DataError(f"well {well_id}: need at least 2 rows")
+        dt = float(np.median(steps))
+        if not np.allclose(steps, dt, rtol=0, atol=1e-6 * dt):
+            raise DataError(f"well {well_id}: time column is not uniform")
+        wells.append(WellData(
+            well_id=well_id, t0_ms=float(times[0]), dt_ms=dt,
+            sf=arr[:, 4], imp=arr[:, 1], amp=arr[:, 2], freq=arr[:, 3]))
+    return wells
+
+
+def _read_or_error(read, path):
+    """The wells `read` gives for path, or the text of its DataError."""
+    try:
+        return read(path)
+    except DataError as exc:
+        return str(exc)
+
+
+HEADER = "well,time_ms,imp,amp,freq,sf\n"
+# one kind of line each: kept rows, skipped lines and rejected rows
+LINE_KINDS = {
+    "good": "{well},{t!r},1.5,-2.25,30.0,0.5",
+    "blank": "",
+    "spaces": "  \t ",
+    "short": "{well},{t!r},1.0,2.0,3.0",
+    "seven": "{well},{t!r},1.0,2.0,3.0,0.5,0.5",
+    "text": "{well},{t!r},1.0,two,3.0,0.5",
+}
+# mostly good rows, so that some drawn files hold a whole pattern set
+DRAWN_KINDS = ["good"] * 25 + sorted(set(LINE_KINDS) - {"good"})
+
+
+def _pattern_lines(kinds):
+    """One line per kind; each well's rows advance its own clock by 0.5."""
+    clock = {}
+    lines = []
+    for well, kind in kinds:
+        t = clock.get(well, 100.0)
+        if kind not in ("blank", "spaces"):
+            clock[well] = t + 0.5
+        lines.append(LINE_KINDS[kind].format(well=well, t=t))
+    return lines
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Chunks of three lines, so that every rule of the pattern reader
+    meets a chunk edge."""
+    monkeypatch.setattr(pipeline, "PATTERN_CHUNK_LINES", 3)
+
+
 class TestPatternsCsv:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -231,6 +331,78 @@ class TestPatternsCsv:
             for name in names:
                 np.testing.assert_array_equal(getattr(w2, name).view(np.int64),
                                               getattr(w1, name).view(np.int64))
+
+    @pytest.mark.usefixtures("small_chunks")
+    def test_multi_chunk_roundtrip(self, tmp_path):
+        rng = np.random.default_rng(3)
+        wells = [WellData(w, 100.0 + k, 0.5, *rng.standard_normal((4, 11)))
+                 for k, w in enumerate("AB")]
+        path = tmp_path / "patterns.csv"
+        write_patterns_csv(path, wells)
+        again = read_patterns_csv(path)
+        assert [w.well_id for w in again] == ["A", "B"]
+        for w1, w2 in zip(wells, again):
+            assert (w2.t0_ms, w2.dt_ms) == (w1.t0_ms, w1.dt_ms)
+            for name in ("sf", "imp", "amp", "freq"):
+                np.testing.assert_array_equal(getattr(w2, name),
+                                              getattr(w1, name))
+
+    @pytest.mark.usefixtures("small_chunks")
+    @pytest.mark.parametrize("kind", ["short", "seven", "text"])
+    def test_bad_row_in_a_later_chunk_names_its_line(self, tmp_path, kind):
+        lines = _pattern_lines([("A", "good")] * 7 + [("A", kind)]
+                               + [("A", "good")] * 2)
+        path = tmp_path / "later.csv"
+        path.write_text(HEADER + "\n".join(lines) + "\n")
+        # the header is line 1, so the eighth row is line 9
+        with pytest.raises(DataError) as raised:
+            read_patterns_csv(path)
+        assert str(raised.value).startswith(f"{path}:9: expected a well id")
+
+    @pytest.mark.usefixtures("small_chunks")
+    def test_blank_lines_across_a_chunk_edge_are_skipped(self, tmp_path):
+        # the second chunk of three lines holds no row at all
+        kinds = [("A", "good"), ("A", "good"), ("A", "blank"), ("A", "spaces"),
+                 ("A", "blank"), ("A", "spaces"), ("A", "good"), ("A", "spaces"),
+                 ("A", "good")]
+        path = tmp_path / "blanks.csv"
+        path.write_text(HEADER + "\n".join(_pattern_lines(kinds)) + "\n")
+        [well] = read_patterns_csv(path)
+        assert (well.t0_ms, well.dt_ms) == (100.0, 0.5)
+        np.testing.assert_array_equal(well.sf, [0.5] * 4)
+
+    @pytest.mark.usefixtures("small_chunks")
+    def test_header_only_is_3(self, tmp_path, capsys):
+        path = tmp_path / "header_only.csv"
+        path.write_text(HEADER + "\n \n\n\n\n")
+        assert cli.main(["metrics", str(path)]) == 3
+        assert f"{path}: no pattern rows after the header" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(kinds=st.lists(st.tuples(st.sampled_from("AB"),
+                                    st.sampled_from(DRAWN_KINDS)),
+                          max_size=16),
+           chunk=st.integers(1, 5),
+           newline=st.booleans())
+    def test_matches_whole_file_reader(self, kinds, chunk, newline):
+        text = HEADER + "\n".join(_pattern_lines(kinds)) + "\n" * newline
+        with tempfile.TemporaryDirectory() as folder, \
+                pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "PATTERN_CHUNK_LINES", chunk)
+            path = pathlib.Path(folder) / "mixed.csv"
+            path.write_text(text)
+            got = _read_or_error(read_patterns_csv, path)
+            want = _read_or_error(_whole_file_reader, path)
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert [w.well_id for w in got] == [w.well_id for w in want]
+        for w1, w2 in zip(got, want):
+            assert (w1.t0_ms, w1.dt_ms) == (w2.t0_ms, w2.dt_ms)
+            for name in ("sf", "imp", "amp", "freq"):
+                np.testing.assert_array_equal(getattr(w1, name),
+                                              getattr(w2, name))
 
 
 class TestWorkflow:

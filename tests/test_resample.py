@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seisreg import resample
 from seisreg.resample import (
     DegenerateRange,
     DepthOutOfRange,
@@ -109,6 +115,101 @@ class TestSincResample:
         err = np.abs(out.values - truth)
         maxes = [err[n_out // d: -n_out // d].max() for d in (8, 4, 3)]
         assert maxes[0] > maxes[1] > maxes[2]
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n_src=st.integers(40, 300),
+           on_grid=st.booleans(),
+           lone_row=st.booleans(),
+           fraction=st.floats(0.0, 1.0))
+    def test_blocks_do_not_change_bits(self, seed, n_src, on_grid, lone_row,
+                                       fraction):
+        rng = np.random.default_rng(seed)
+        ts = TimeSeries(13.0, 2.0, rng.standard_normal(n_src))
+        # from a source sample, every 40th output at 0.15 ms falls on one;
+        # from 0.07 ms past it, none does
+        offset = 0.0 if on_grid else 0.07
+        most = int((ts.dt_ms * (n_src - 1) - offset) / 0.15) + 1
+        n_out = max(2, int(fraction * most))
+
+        def n_between(n):
+            return n - (n + 39) // 40 if on_grid else n
+
+        if lone_row:
+            # one kernel row past a whole number of blocks of 4, 8 or 256
+            n_out = max(n_out, 300)
+            while n_between(n_out) % 256 != 1:
+                n_out -= 1
+        outputs = []
+        for rows in (4, 8, 256):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(resample, "SINC_ROWS", rows)
+                outputs.append(sinc_resample(ts, ts.t0_ms + offset, 0.15,
+                                             n_out).values)
+        for out in outputs[1:]:
+            np.testing.assert_array_equal(out.view(np.int64),
+                                          outputs[0].view(np.int64))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n_src=st.integers(2, 300),
+           target_dt=st.sampled_from([0.15, 0.25, 2.0]))
+    def test_channels_match_single_calls(self, seed, n_src, target_dt):
+        rng = np.random.default_rng(seed)
+        channels = rng.standard_normal((n_src, 3)) * [1.0, 1e3, 1e-3]
+        n_out = int(2.0 * (n_src - 1) / target_dt) + 1
+        out = sinc_resample(TimeSeries(13.0, 2.0, channels), 13.0, target_dt,
+                            n_out)
+        assert out.values.shape == (n_out, 3)
+        for k in range(3):
+            alone = sinc_resample(TimeSeries(13.0, 2.0, channels[:, k]), 13.0,
+                                  target_dt, n_out)
+            np.testing.assert_array_equal(out.values[:, k].view(np.int64),
+                                          alone.values.view(np.int64))
+
+    def test_memory_does_not_grow_with_n_out(self):
+        ts = TimeSeries(0.0, 2.0, np.random.default_rng(5).standard_normal(512))
+        peaks = []
+        for n_out in (1600, 6400):
+            tracemalloc.start()
+            sinc_resample(ts, 0.0, 0.15, n_out)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # the kernel block is at most 257 x 512 float64 either way; what
+        # grows is a handful of vectors of n_out float64 (one full kernel
+        # would add 4800 x 512 x 8 B, 19.7 MB)
+        assert peaks[1] - peaks[0] < 16 * 8 * (6400 - 1600)
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # OpenBLAS splits one gemv over threads at a row that need not be a
+        # multiple of 4, and rounds the row before that split otherwise
+        # than one thread does.  The blocks give the bits of one gemv over
+        # all rows on one thread, whatever the thread count.  A host with
+        # one CPU runs every case on one thread and so cannot show the
+        # fault.
+        code = (
+            "import hashlib, numpy as np\n"
+            "from seisreg import resample\n"
+            "ts = resample.TimeSeries(0.0, 2.0, np.random.default_rng(0)"
+            ".standard_normal(512))\n"
+            "for rows in (resample.SINC_ROWS, 1 << 20):\n"
+            "    resample.SINC_ROWS = rows\n"
+            "    for n_out in (6701, 6705, 6707, 6803):\n"
+            "        out = resample.sinc_resample(ts, 0.0, 0.15, n_out)\n"
+            "        print(hashlib.sha256(out.values.tobytes()).hexdigest())\n")
+        digests = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+            proc = subprocess.run([sys.executable, "-c", code],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            lines = proc.stdout.split()
+            # the blocks, then one gemv over every row
+            digests[threads] = lines[:4], lines[4:]
+        assert digests["1"][0] == digests["2"][0]
+        assert digests["1"][0] == digests["1"][1]
 
     def test_target_outside_span(self):
         ts = TimeSeries(100.0, 2.0, np.zeros(16))
