@@ -17,7 +17,7 @@ from .errors import ConfigError, DataError, DivergenceError
 from .formats.las import parse_las
 from .formats.segy import TraceLayout, parse_segy
 from .formats.svol import open_svol, read_svol, write_svol
-from .formats.volume import volume_from_traces
+from .formats.volume import ATTRIBUTE_LONG_NAMES, volume_from_traces
 from .synthparams import SynthFieldParams
 
 
@@ -81,7 +81,7 @@ def _well_configs(args):
 def _cmd_prep(args):
     with contextlib.ExitStack() as stack:
         volumes = {name: stack.enter_context(open_svol(getattr(args, name)))
-                   for name in ("imp", "amp", "freq")}
+                   for name in ATTRIBUTE_LONG_NAMES}
         wells = [pipeline.prepare_well(wc, volumes, args.dt)
                  for wc in _well_configs(args)]
     pipeline.write_patterns_csv(args.out, wells)
@@ -96,7 +96,7 @@ def _cmd_metrics(args):
     # built whole, so a failure part way (a bad --bins) prints nothing
     lines = []
     for w in wells:
-        scored = {"impedance": w.imp, "amplitude": w.amp, "inst_frequency": w.freq}
+        scored = dict(zip(ATTRIBUTE_LONG_NAMES.values(), w.attrs.T))
         lines += [f"# entropy_bits well={w.well_id}",
                   sep.join(["variable", "entropy_bits"])]
         for name, vals in {**scored, "sf": w.sf}.items():
@@ -116,7 +116,8 @@ def _cmd_regularize(args):
     wells = pipeline.read_patterns_csv(args.patterns)
     reports = {}
     for w in wells:
-        out, report = method.regularize(w.series(w.sf), config, w.series(w.amp))
+        out, report = method.regularize(w.series(w.sf), config,
+                                        w.series(w.attrs[:, pipeline.PREDICTOR]))
         w.sf = out.values
         reports[w.well_id] = report
     pipeline.write_patterns_csv(args.out, wells)
@@ -259,9 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("prep", help="LAS + velocity + volumes to pattern CSV")
-    p.add_argument("--imp", required=True)
-    p.add_argument("--amp", required=True)
-    p.add_argument("--freq", required=True)
+    for name in ATTRIBUTE_LONG_NAMES:
+        p.add_argument(f"--{name}", required=True)
     p.add_argument("--well", action="append", required=True,
                    metavar="ID:las:velocity_csv")
     p.add_argument("--dt", type=float, default=pipeline.RunConfig.dt_ms)

@@ -9,8 +9,9 @@ import numpy as np
 from ..errors import DataError
 
 
-# Long spellings of the model's input keys: `seisreg synth` writes these
-# into .svol headers, and either spelling names the same attribute.
+# The attribute set, named here only: its key order is the model input
+# order and the pattern CSV column order.  `seisreg synth` writes the long
+# spellings into .svol headers, and either spelling names the same attribute.
 ATTRIBUTE_LONG_NAMES = {"imp": "impedance", "amp": "amplitude",
                         "freq": "inst_frequency"}
 

@@ -36,9 +36,6 @@ class ConstantActual(DataError):
     pass
 
 
-DEFAULT_MI_BINS = 16
-
-
 @dataclass
 class Psd:
     freqs_hz: np.ndarray
@@ -117,7 +114,7 @@ def _binned_entropies(x, y, bins: int):
             _entropy_bits(joint.ravel()))
 
 
-def nmi(x, y, bins: int = DEFAULT_MI_BINS) -> float:
+def nmi(x, y, bins: int) -> float:
     """Mutual information I(X;Y) = H(X) + H(Y) - H(X,Y), in bits from a
     bins x bins equal-width histogram, normalized by the smaller marginal
     entropy."""

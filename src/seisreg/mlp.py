@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, DivergenceError
+from .formats.volume import ATTRIBUTE_LONG_NAMES
 from .resample import MinMaxStats, ZscoreStats
 
 
@@ -352,7 +353,7 @@ class ModelBundle:
     input_stats: ZscoreStats
     target_stats: MinMaxStats
     seed: int
-    attribute_names: list = field(default_factory=lambda: ["imp", "amp", "freq"])
+    attribute_names: list = field(default_factory=lambda: list(ATTRIBUTE_LONG_NAMES))
 
     def predict(self, raw_inputs: np.ndarray) -> np.ndarray:
         scored = self.input_stats.apply(np.atleast_2d(raw_inputs))
@@ -392,12 +393,16 @@ class ModelBundle:
                 f"input_stats mean/std of shapes {input_stats.mean.shape}/"
                 f"{input_stats.std.shape} for {n_in} inputs"
             )
+        names = d.get("attribute_names", list(ATTRIBUTE_LONG_NAMES))
+        if not (isinstance(names, list) and len(names) == n_in
+                and all(isinstance(name, str) for name in names)):
+            raise DataError(f"attribute_names must be a list of {n_in} strings")
         return cls(
             model=template.with_flat(flat),
             input_stats=input_stats,
             target_stats=MinMaxStats.from_dict(d["target_stats"]),
             seed=int(d.get("seed", 0)),
-            attribute_names=list(d.get("attribute_names", ["imp", "amp", "freq"])),
+            attribute_names=names,
         )
 
 

@@ -22,7 +22,12 @@ from .errors import ConfigError, DataError
 from .formats.las import parse_las
 from .formats.svol import open_svol, read_svol
 from .formats.svol import write_svol  # noqa: F401  only for perfbench/spans.py
+from .formats.volume import ATTRIBUTE_LONG_NAMES
 from .resample import TimeSeries
+
+# The attribute column the entropy report and the FT default bandwidth read
+PREDICTOR = list(ATTRIBUTE_LONG_NAMES).index("amp")
+PATTERN_HEADER = ",".join(["well", "time_ms", *ATTRIBUTE_LONG_NAMES, "sf"])
 
 
 class SpanTooLarge(ConfigError):
@@ -319,15 +324,15 @@ def render_config(config: RunConfig) -> str:
 
 @dataclass
 class WellData:
-    """One well's target and attributes on the shared fine time grid."""
+    """One well's target and attributes on the shared fine time grid: `sf`
+    is (n,), and `attrs` is the (n, 3) block of the attributes in model
+    input order (the key order of ATTRIBUTE_LONG_NAMES)."""
 
     well_id: str
     t0_ms: float
     dt_ms: float
     sf: np.ndarray
-    imp: np.ndarray
-    amp: np.ndarray
-    freq: np.ndarray
+    attrs: np.ndarray
 
     @property
     def times_ms(self):
@@ -338,17 +343,26 @@ class WellData:
 
 
 def prepare_well(well_cfg: WellConfig, volumes: dict, dt_ms: float) -> WellData:
-    """LAS + velocity + attribute volumes -> aligned fine-grid arrays.
+    """LAS + velocity + attribute volumes -> the fine-grid target and the
+    (n, 3) attribute block, by one sinc call on the well's (n_src, 3) trace.
 
-    Reads only the well's own trace of each volume, so `volumes` may be
-    open `.svol` readers as well as volumes in memory."""
+    `volumes` maps each attribute key to its volume, all of one geometry.
+    Only the well's own traces are read, so they may be open `.svol`
+    readers as well as volumes in memory."""
+    first, *others = ATTRIBUTE_LONG_NAMES
+    grid = volumes[first]
+    for name in others:
+        if not grid.same_geometry(volumes[name]):
+            raise DataError(f"{name} volume geometry differs from {first}")
     with open(well_cfg.las_path) as fh:
         log = parse_las(fh.read())
     vp = resample.load_velocity_csv(well_cfg.velocity_path)
     sf = log.curve(well_cfg.sf_curve)
-    depths = log.depths
     ok = ~np.isnan(sf)
-    sf_ts = resample.depth_to_time(depths[ok], sf[ok], vp, dt_ms)
+    sf_ts = resample.depth_to_time(log.depths[ok], sf[ok], vp, dt_ms) if ok.any() else ()
+    if len(sf_ts) < 2:
+        raise DataError(f"well {well_cfg.well_id}: need at least 2 {well_cfg.sf_curve} "
+                        f"samples on the {dt_ms} ms grid, got {len(sf_ts)}")
 
     inline = well_cfg.inline
     xline = well_cfg.xline
@@ -363,38 +377,29 @@ def prepare_well(well_cfg: WellConfig, volumes: dict, dt_ms: float) -> WellData:
             f"well {well_cfg.well_id}: no inline/xline in config or LAS ~W (ILIN/XLIN)"
         )
 
-    # traces on one time axis share one sinc kernel, a channel each
-    by_axis = {}
-    for name, vol in volumes.items():
-        samples, mask = vol.trace(inline, xline)
+    traces = []
+    for name in ATTRIBUTE_LONG_NAMES:
+        samples, mask = volumes[name].trace(inline, xline)
         if not mask.all():
             raise DataError(f"well {well_cfg.well_id}: {name} trace is masked at "
                             f"({inline}, {xline})")
-        axis = (vol.t0_ms, vol.dt_ms, len(samples))
-        by_axis.setdefault(axis, {})[name] = samples
-    traces = {}
-    for (t0_ms, src_dt_ms, _), group in by_axis.items():
-        trace_ts = TimeSeries(t0_ms, src_dt_ms, np.column_stack(list(group.values())))
-        fine = resample.sinc_resample(trace_ts, sf_ts.t0_ms, dt_ms, len(sf_ts))
-        traces.update(zip(group, fine.values.T.copy()))
-    return WellData(
-        well_id=well_cfg.well_id, t0_ms=sf_ts.t0_ms, dt_ms=dt_ms, sf=sf_ts.values,
-        imp=traces["imp"], amp=traces["amp"], freq=traces["freq"],
-    )
+        traces.append(samples)
+    trace = TimeSeries(grid.t0_ms, grid.dt_ms, np.column_stack(traces))
+    fine = resample.sinc_resample(trace, sf_ts.t0_ms, dt_ms, len(sf_ts))
+    return WellData(well_id=well_cfg.well_id, t0_ms=sf_ts.t0_ms, dt_ms=dt_ms,
+                    sf=sf_ts.values, attrs=fine.values)
 
 
 def _well_tables(well: WellData, scored: dict, sf_norm: TimeSeries,
                  sf_reg: TimeSeries, reg_report: dict, bins: int) -> dict:
-    # the report holds the entropies of both targets and of the predictor,
-    # the z-scored amplitude column
-    entropy = {row: reg_report[key] for key, row in (
-        ("entropy_original", "original_sf"),
-        ("entropy_regularized", "regularized_sf"),
-        ("entropy_predictor", "amplitude"))}
-    for name in ("impedance", "inst_frequency"):
-        entropy[name] = metrics.series_entropy(well.series(scored[name]))
+    # the report holds the entropies of both targets and of the predictor
+    # column; the other attribute columns are scored here
+    entropy = {"original_sf": reg_report["entropy_original"],
+               "regularized_sf": reg_report["entropy_regularized"]}
     nmi_rows = {}
-    for name, vals in scored.items():
+    for k, (name, vals) in enumerate(scored.items()):
+        entropy[name] = (reg_report["entropy_predictor"] if k == PREDICTOR
+                         else metrics.series_entropy(well.series(vals)))
         nmi_rows[name] = {
             "original": metrics.nmi(vals, sf_norm.values, bins),
             "regularized": metrics.nmi(vals, sf_reg.values, bins),
@@ -435,9 +440,7 @@ class RunReport:
 def pool_patterns(wells):
     """Inputs z-scored and targets min-max mapped into the band, each pooled
     over all wells: (inputs, input_stats, targets, target_stats)."""
-    raw_inputs = np.vstack([np.column_stack([w.imp, w.amp, w.freq])
-                            for w in wells])
-    inputs, input_stats = resample.zscore(raw_inputs)
+    inputs, input_stats = resample.zscore(np.vstack([w.attrs for w in wells]))
     targets, target_stats = resample.minmax_to_band(
         np.concatenate([w.sf for w in wells]))
     return inputs, input_stats, targets, target_stats
@@ -455,7 +458,7 @@ def train_model(wells, config: RunConfig, inputs, input_stats, targets,
     # every split rather than trusting the splitter
     if np.intersect1d(validation, np.concatenate([train, test])).size:
         raise DataError("validation overlaps train/test")
-    model = mlp.init_model(3, config.hidden, seed=config.train_seed)
+    model = mlp.init_model(inputs.shape[1], config.hidden, seed=config.train_seed)
     scg = mlp.ScgParams(sigma=config.sigma, lambda1=config.lambda1,
                         max_iters=config.max_iters,
                         target_loss=config.target_loss)
@@ -480,11 +483,10 @@ def _regularize_wells(wells, bounds, config: RunConfig, inputs, targets):
     reg_reports = {}
     tables = {}
     for w, lo, hi in zip(wells, bounds, bounds[1:]):
-        scored = {"impedance": inputs[lo:hi, 0], "amplitude": inputs[lo:hi, 1],
-                  "inst_frequency": inputs[lo:hi, 2]}
+        scored = dict(zip(ATTRIBUTE_LONG_NAMES.values(), inputs[lo:hi].T))
         sf_norm = w.series(targets[lo:hi])
         sf_reg, rep = method.regularize(sf_norm, config,
-                                        w.series(scored["amplitude"]))
+                                        w.series(inputs[lo:hi, PREDICTOR]))
         reg_targets.append(sf_reg.values)
         reg_reports[w.well_id] = rep
         tables[w.well_id] = _well_tables(w, scored, sf_norm, sf_reg, rep,
@@ -542,10 +544,7 @@ def run_workflow(config: RunConfig):
         # any training or output
         volumes = {name: stack.enter_context(
                        open_svol(getattr(config, f"vol_{name}")))
-                   for name in ("imp", "amp", "freq")}
-        for name in ("amp", "freq"):
-            if not volumes["imp"].same_geometry(volumes[name]):
-                raise DataError(f"{name} volume geometry differs from imp")
+                   for name in ATTRIBUTE_LONG_NAMES}
         wells = [prepare_well(wc, volumes, config.dt_ms) for wc in config.wells]
         report, bundle = _build_model(config, wells)
         if config.predict:
@@ -568,7 +567,7 @@ def _build_model(config: RunConfig, wells):
         # schedule and the report see one concrete number; the widest well
         # wins so no well starts over-truncated
         params = replace(config, zeta_max_hz=max(
-            ftreg.default_zeta_max(w.series(inputs[lo:hi, 1]))
+            ftreg.default_zeta_max(w.series(inputs[lo:hi, PREDICTOR]))
             for w, lo, hi in zip(wells, bounds, bounds[1:])
         ))
     attempts = []
@@ -674,32 +673,35 @@ def report_tables(attempt: dict, fmt: str = "text") -> str:
 
 
 def write_patterns_csv(path, wells: list) -> None:
-    """Pattern file: well,time_ms,imp,amp,freq,sf — raw (unnormalized).
+    """Pattern file: PATTERN_HEADER, well,time_ms,imp,amp,freq,sf, raw.
 
     Every number is written as `%.17g`, which round-trips a float64
     exactly; one format string covers all of a well's rows.
     """
     with open(path, "w") as fh:
-        fh.write("well,time_ms,imp,amp,freq,sf\n")
+        fh.write(PATTERN_HEADER + "\n")
         for w in wells:
             row = w.well_id.replace("%", "%%") + ",%.17g,%.17g,%.17g,%.17g,%.17g\n"
-            table = np.column_stack([w.times_ms, w.imp, w.amp, w.freq, w.sf])
+            table = np.column_stack([w.times_ms, w.attrs, w.sf])
             fh.write(row * len(table) % tuple(table.ravel().tolist()))
 
 
 def _parse_pattern_rows(rows: list) -> np.ndarray:
     """The five numeric cells of each `id,t,imp,amp,freq,sf` row.
 
-    A row with fewer than six cells is a ValueError; cells past the sixth
-    are not looked at.
+    A row with fewer than six cells, or with a nan or inf among its five
+    numbers, is a ValueError; cells past the sixth are not looked at.
     """
-    return np.loadtxt(rows, delimiter=",", usecols=(1, 2, 3, 4, 5),
-                      comments=None, ndmin=2)
+    table = np.loadtxt(rows, delimiter=",", usecols=(1, 2, 3, 4, 5),
+                       comments=None, ndmin=2)
+    if not np.isfinite(table).all():
+        raise ValueError("non-finite pattern cell")
+    return table
 
 
 def _bad_pattern_row(path) -> DataError:
     """The error naming the first line of `path` after its header that is
-    neither blank nor a well id and five numbers."""
+    neither blank nor a well id and five finite numbers."""
     with open(path) as fh:
         next(fh)
         for lineno, line in enumerate(fh, 2):
@@ -725,15 +727,15 @@ def read_patterns_csv(path) -> list:
 
     The body is parsed `PATTERN_CHUNK_LINES` lines at a time, one
     np.loadtxt per chunk, so no more than a chunk of text is held at once.
-    Blank lines are skipped.  A row that is not a well id and five numbers
-    is a DataError naming its `path:line` (only then is the file read a
+    Blank lines are skipped.  A row that is not a well id and five finite
+    numbers is a DataError naming its `path:line` (only then is the file read a
     second time, to find that line), and so is a file with no rows after
     its header.
     """
     by_well = {}
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != "well,time_ms,imp,amp,freq,sf":
+        if header != PATTERN_HEADER:
             raise DataError(f"unexpected pattern CSV header: {header!r}")
         while lines := list(itertools.islice(fh, PATTERN_CHUNK_LINES)):
             rows = [row for row in map(str.strip, lines) if row]
@@ -763,7 +765,6 @@ def read_patterns_csv(path) -> list:
         dt = float(np.median(steps))
         if not np.allclose(steps, dt, rtol=0, atol=1e-6 * dt):
             raise DataError(f"well {well_id}: time column is not uniform")
-        wells.append(WellData(
-            well_id=well_id, t0_ms=float(times[0]), dt_ms=dt,
-            sf=arr[:, 4], imp=arr[:, 1], amp=arr[:, 2], freq=arr[:, 3]))
+        wells.append(WellData(well_id=well_id, t0_ms=float(times[0]), dt_ms=dt,
+                              sf=arr[:, 4], attrs=arr[:, 1:4]))
     return wells

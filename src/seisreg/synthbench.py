@@ -37,16 +37,8 @@ class SynthWell:
 @dataclass
 class SynthField:
     params: SynthFieldParams
-    sf: SeismicVolume
-    impedance: SeismicVolume
-    amplitude: SeismicVolume
-    frequency: SeismicVolume
+    volumes: dict    # "sf", then each attribute key: its SeismicVolume
     wells: list = field(default_factory=list)
-
-    @property
-    def volumes(self):
-        return {"sf": self.sf, "imp": self.impedance, "amp": self.amplitude,
-                "freq": self.frequency}
 
 
 def ricker(t_ms: np.ndarray, f_hz: float) -> np.ndarray:
@@ -228,14 +220,11 @@ def generate_field(params: SynthFieldParams) -> SynthField:
             velocity=VelocityProfile(knots),
         ))
 
-    return SynthField(
-        params=params,
-        sf=as_volume(sf_vol, "sand_fraction"),
-        impedance=as_volume(imp_vol, ATTRIBUTE_LONG_NAMES["imp"]),
-        amplitude=as_volume(amp_vol, ATTRIBUTE_LONG_NAMES["amp"]),
-        frequency=as_volume(freq_vol, ATTRIBUTE_LONG_NAMES["freq"]),
-        wells=wells,
-    )
+    volumes = {"sf": as_volume(sf_vol, "sand_fraction")}
+    for (name, long_name), grid in zip(ATTRIBUTE_LONG_NAMES.items(),
+                                       (imp_vol, amp_vol, freq_vol)):
+        volumes[name] = as_volume(grid, long_name)
+    return SynthField(params=params, volumes=volumes, wells=wells)
 
 
 def well_to_las(well: SynthWell) -> LasLog:
@@ -274,7 +263,7 @@ def write_field(field: SynthField, directory) -> None:
 
 def config_text(directory, well_ids="ABCD") -> str:
     """`seisreg run` config lines for a field write_field wrote to `directory`."""
-    lines = [f"vol.{name} = {directory}/{name}.svol" for name in ("imp", "amp", "freq")]
+    lines = [f"vol.{name} = {directory}/{name}.svol" for name in ATTRIBUTE_LONG_NAMES]
     lines.append("wells = " + ",".join(well_ids))
     for w in well_ids:
         lines += [f"well.{w}.las = {directory}/well_{w}.las",

@@ -10,7 +10,9 @@ import pytest
 from seisreg import cli, mlp, pipeline, synthbench
 from seisreg.formats import svol
 from seisreg.formats.segy import TraceLayout
-from seisreg.formats.svol import read_svol
+from seisreg.formats.las import parse_las, write_las
+from seisreg.formats.svol import read_svol, write_svol
+from seisreg.formats.volume import SeismicVolume
 from seisreg.resample import MinMaxStats, ZscoreStats
 from seisreg.synthparams import SynthFieldParams
 from test_formats import make_segy
@@ -161,6 +163,87 @@ class TestExitCodes:
         vols = ",".join(str(bench / f"{n}.svol") for n in ("imp", "amp", "freq"))
         assert run("predict", "--model", model, "--vol", vols,
                    "--out", workdir / "unused.svol") == 3
+
+    @pytest.mark.parametrize("names", [["imp"], [1, 2, 3]])
+    def test_bad_model_attribute_names_is_3(self, workdir, patterns, bench,
+                                            names, capsys):
+        # with amp and freq swapped, only a check of every name against the
+        # layer width can stop the sweep
+        model = workdir / "bad_names.json"
+        assert run("train", patterns, "--max-iters", 20, "--out", model) == 0
+        bundle = json.loads(model.read_text())
+        bundle["attribute_names"] = names
+        model.write_text(json.dumps(bundle))
+        out = workdir / "bad_names.svol"
+        vols = ",".join(str(bench / f"{n}.svol") for n in ("imp", "freq", "amp"))
+        capsys.readouterr()
+        assert run("predict", "--model", model, "--vol", vols, "--out", out) == 3
+        assert "attribute_names must be a list of 3 strings" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_pattern_cell_is_3(self, workdir, patterns, cell, capsys):
+        lines = patterns.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[3] = cell
+        lines[5] = ",".join(cells)
+        path = workdir / f"{cell}_cell.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = workdir / "non_finite_model.json"
+        assert run("train", path, "--out", out) == 3
+        assert f"{path}:6: expected a well id and five numbers" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kept, on_grid", [([], 0), ([100], 1),
+                                               ([100, 101], 1)])
+    def test_sf_log_without_two_samples_is_3(self, workdir, bench, kept, on_grid,
+                                             capsys):
+        # an all-NULL SF curve, one with a single valid sample, and one whose
+        # two valid samples, one depth step apart, are closer than one dt
+        log = parse_las((bench / "well_A.las").read_text())
+        sf = log.rows[:, 1].copy()
+        log.rows[:, 1] = np.nan
+        log.rows[kept, 1] = sf[kept]
+        las = workdir / f"sf_{len(kept)}_samples.las"
+        las.write_text(write_las(log))
+        out = workdir / "short_sf.csv"
+        assert run("prep", *_prep_volumes(bench), "--out", out,
+                   "--well", f"A:{las}:{bench}/vel_A.csv") == 3
+        cfg = workdir / "short_sf.cfg"
+        cfg.write_text(synthbench.config_text(bench).replace(
+            str(bench / "well_A.las"), str(las)))
+        assert run("run", "--config", cfg) == 3
+        err = capsys.readouterr().err
+        assert err.count("well A: need at least 2 SF samples on the 0.15 ms grid, "
+                         f"got {on_grid}") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", ["extra_inline", "later_start"])
+    def test_volume_geometry_mismatch_is_3(self, workdir, bench, change, capsys):
+        vol = read_svol(bench / "amp.svol")
+        if change == "extra_inline":
+            vol = SeismicVolume(
+                inlines=np.append(vol.inlines, vol.inlines[-1] + 1),
+                xlines=vol.xlines, t0_ms=vol.t0_ms, dt_ms=vol.dt_ms,
+                data=np.concatenate([vol.data, vol.data[-1:]]),
+                attribute_name=vol.attribute_name)
+        else:
+            vol.t0_ms += 4.0
+        amp = workdir / f"amp_{change}.svol"
+        write_svol(amp, vol)
+        out = workdir / "mismatch.csv"
+        volumes = _prep_volumes(bench)
+        volumes[volumes.index("--amp") + 1] = amp
+        assert run("prep", *volumes, "--out", out,
+                   "--well", f"A:{bench}/well_A.las:{bench}/vel_A.csv") == 3
+        assert not out.exists()
+        cfg = workdir / "mismatch.cfg"
+        cfg.write_text(synthbench.config_text(bench).replace(
+            str(bench / "amp.svol"), str(amp)))
+        assert run("run", "--config", cfg) == 3
+        assert capsys.readouterr().err.count(
+            "data error: amp volume geometry differs from imp\n") == 2
 
     @pytest.mark.parametrize("command", ["filter", "slice"])
     def test_nan_dt_header_is_3(self, workdir, bench, command):
@@ -331,6 +414,12 @@ class TestConvert:
         assert vol.attribute_name == "amp"
         assert vol.data.shape == (1, 2, 4)
         np.testing.assert_array_equal(vol.data[0, 0], [0.0, 1.0, -1.0, 0.5])
+
+
+def _prep_volumes(bench) -> list:
+    """The volume flags of `seisreg prep` for the bench field."""
+    return ["--imp", bench / "imp.svol", "--amp", bench / "amp.svol",
+            "--freq", bench / "freq.svol"]
 
 
 @pytest.fixture(scope="module")

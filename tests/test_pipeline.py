@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from seisreg import cli, pipeline, resample, synthbench
 from seisreg.errors import ConfigError, DataError
+from seisreg.formats.svol import read_svol
+from seisreg.formats.volume import ATTRIBUTE_LONG_NAMES
 from seisreg.ftreg import BandTooNarrow
 from seisreg.pipeline import (
     METHODS,
@@ -193,8 +195,16 @@ class TestMethodParams:
 
 def _whole_file_reader(path) -> list:
     """read_patterns_csv as it was before it read in chunks: the whole body
-    at once, one np.loadtxt over every row.  The chunked reader must give
-    the same wells, or the same error, on any file."""
+    at once, one np.loadtxt over every row, and a nan or inf cell rejects
+    its row.  The chunked reader must give the same wells, or the same
+    error, on any file."""
+    def parse(rows):
+        table = np.loadtxt(rows, delimiter=",", usecols=(1, 2, 3, 4, 5),
+                           comments=None, ndmin=2)
+        if not np.isfinite(table).all():
+            raise ValueError("non-finite cell")
+        return table
+
     def bad_row(lines):
         for lineno, line in enumerate(lines, 2):
             line = line.strip()
@@ -203,7 +213,7 @@ def _whole_file_reader(path) -> list:
             try:
                 if line.count(",") != 5:
                     raise ValueError
-                pipeline._parse_pattern_rows([line])
+                parse([line])
             except ValueError:
                 return DataError(f"{path}:{lineno}: expected a well id and five "
                                  f"numbers, got {line!r}")
@@ -219,7 +229,7 @@ def _whole_file_reader(path) -> list:
     if not rows:
         raise DataError(f"{path}: no pattern rows after the header")
     try:
-        table = pipeline._parse_pattern_rows(rows)
+        table = parse(rows)
     except ValueError:
         raise bad_row(lines) from None
     if body.count(",") != 5 * len(rows):
@@ -242,7 +252,7 @@ def _whole_file_reader(path) -> list:
             raise DataError(f"well {well_id}: time column is not uniform")
         wells.append(WellData(
             well_id=well_id, t0_ms=float(times[0]), dt_ms=dt,
-            sf=arr[:, 4], imp=arr[:, 1], amp=arr[:, 2], freq=arr[:, 3]))
+            sf=arr[:, 4], attrs=arr[:, 1:4]))
     return wells
 
 
@@ -263,6 +273,8 @@ LINE_KINDS = {
     "short": "{well},{t!r},1.0,2.0,3.0",
     "seven": "{well},{t!r},1.0,2.0,3.0,0.5,0.5",
     "text": "{well},{t!r},1.0,two,3.0,0.5",
+    "nan": "{well},{t!r},1.0,2.0,nan,0.5",
+    "inf": "{well},{t!r},1.0,2.0,3.0,-inf",
 }
 # mostly good rows, so that some drawn files hold a whole pattern set
 DRAWN_KINDS = ["good"] * 25 + sorted(set(LINE_KINDS) - {"good"})
@@ -292,8 +304,10 @@ class TestPatternsCsv:
         rng = np.random.default_rng(0)
         wells = [
             WellData(well_id=w, t0_ms=100.0, dt_ms=0.5,
-                     sf=rng.uniform(0, 1, 20), imp=rng.uniform(5e3, 9e3, 20),
-                     amp=rng.standard_normal(20), freq=rng.uniform(10, 60, 20))
+                     sf=rng.uniform(0, 1, 20),
+                     attrs=np.column_stack([rng.uniform(5e3, 9e3, 20),
+                                            rng.standard_normal(20),
+                                            rng.uniform(10, 60, 20)]))
             for w in "AB"
         ]
         path = tmp_path / "patterns.csv"
@@ -302,7 +316,7 @@ class TestPatternsCsv:
         assert [w.well_id for w in again] == ["A", "B"]
         for w1, w2 in zip(wells, again):
             np.testing.assert_array_equal(w1.sf, w2.sf)
-            np.testing.assert_array_equal(w1.imp, w2.imp)
+            np.testing.assert_array_equal(w1.attrs, w2.attrs)
             assert w2.dt_ms == pytest.approx(0.5)
 
     def test_bytes_match_per_row_format_and_values_roundtrip(self, tmp_path):
@@ -314,28 +328,29 @@ class TestPatternsCsv:
             values[:len(special)] = rng.permutation(special)
             return values
 
-        names = ("imp", "amp", "freq", "sf")
-        wells = [WellData(w, t0, 0.15, **{name: column() for name in names})
+        wells = [WellData(w, t0, 0.15, sf=column(),
+                          attrs=np.column_stack([column() for _ in range(3)]))
                  for w, t0 in (("A", 2208.0), ("B%d", -3.5))]
         path = tmp_path / "patterns.csv"
         write_patterns_csv(path, wells)
         expected = "well,time_ms,imp,amp,freq,sf\n" + "".join(
-            f"{w.well_id},{t:.17g},{w.imp[k]:.17g},{w.amp[k]:.17g},"
-            f"{w.freq[k]:.17g},{w.sf[k]:.17g}\n"
+            f"{w.well_id},{t:.17g},{w.attrs[k, 0]:.17g},{w.attrs[k, 1]:.17g},"
+            f"{w.attrs[k, 2]:.17g},{w.sf[k]:.17g}\n"
             for w in wells for k, t in enumerate(w.times_ms))
         assert path.read_bytes() == expected.encode()
         again = read_patterns_csv(path)
         assert [w.well_id for w in again] == ["A", "B%d"]
         for w1, w2 in zip(wells, again):
             assert w2.t0_ms == w1.t0_ms
-            for name in names:
+            for name in ("sf", "attrs"):
                 np.testing.assert_array_equal(getattr(w2, name).view(np.int64),
                                               getattr(w1, name).view(np.int64))
 
     @pytest.mark.usefixtures("small_chunks")
     def test_multi_chunk_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
-        wells = [WellData(w, 100.0 + k, 0.5, *rng.standard_normal((4, 11)))
+        wells = [WellData(w, 100.0 + k, 0.5, rng.standard_normal(11),
+                          rng.standard_normal((11, 3)))
                  for k, w in enumerate("AB")]
         path = tmp_path / "patterns.csv"
         write_patterns_csv(path, wells)
@@ -343,12 +358,12 @@ class TestPatternsCsv:
         assert [w.well_id for w in again] == ["A", "B"]
         for w1, w2 in zip(wells, again):
             assert (w2.t0_ms, w2.dt_ms) == (w1.t0_ms, w1.dt_ms)
-            for name in ("sf", "imp", "amp", "freq"):
+            for name in ("sf", "attrs"):
                 np.testing.assert_array_equal(getattr(w2, name),
                                               getattr(w1, name))
 
     @pytest.mark.usefixtures("small_chunks")
-    @pytest.mark.parametrize("kind", ["short", "seven", "text"])
+    @pytest.mark.parametrize("kind", ["short", "seven", "text", "nan", "inf"])
     def test_bad_row_in_a_later_chunk_names_its_line(self, tmp_path, kind):
         lines = _pattern_lines([("A", "good")] * 7 + [("A", kind)]
                                + [("A", "good")] * 2)
@@ -400,9 +415,30 @@ class TestPatternsCsv:
         assert [w.well_id for w in got] == [w.well_id for w in want]
         for w1, w2 in zip(got, want):
             assert (w1.t0_ms, w1.dt_ms) == (w2.t0_ms, w2.dt_ms)
-            for name in ("sf", "imp", "amp", "freq"):
+            for name in ("sf", "attrs"):
                 np.testing.assert_array_equal(getattr(w1, name),
                                               getattr(w2, name))
+
+
+class TestPrepareWell:
+    def test_one_sinc_call_per_well_on_the_attribute_block(
+            self, bench_config_text, monkeypatch):
+        config = parse_config(bench_config_text)
+        volumes = {name: read_svol(getattr(config, f"vol_{name}"))
+                   for name in ATTRIBUTE_LONG_NAMES}
+        sinc = resample.sinc_resample
+        shapes = []
+
+        def counted(trace, *args):
+            shapes.append(trace.values.shape)
+            return sinc(trace, *args)
+
+        monkeypatch.setattr(resample, "sinc_resample", counted)
+        for wc in config.wells:
+            well = pipeline.prepare_well(wc, volumes, config.dt_ms)
+            assert well.attrs.shape == (len(well.sf), 3)
+        n_src = volumes["imp"].n_samples
+        assert shapes == [(n_src, 3)] * len(config.wells)
 
 
 class TestWorkflow:

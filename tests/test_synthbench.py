@@ -38,7 +38,7 @@ class TestGenerateField:
     def test_seed_changes_field(self):
         a = generate_field(SynthFieldParams(seed=3, n_inlines=6, n_xlines=6))
         b = generate_field(SynthFieldParams(seed=4, n_inlines=6, n_xlines=6))
-        assert not np.array_equal(a.sf.data, b.sf.data)
+        assert not np.array_equal(a.volumes["sf"].data, b.volumes["sf"].data)
 
     def test_single_layer_no_noise_is_flat(self):
         params = SynthFieldParams(seed=5, n_inlines=4, n_xlines=4,
@@ -46,12 +46,12 @@ class TestGenerateField:
                                   texture_std=0.0, log_noise_std=0.0,
                                   lateral_drift=0.0)
         field = generate_field(params)
-        sf = field.sf.data
+        sf = field.volumes["sf"].data
         assert np.ptp(sf) < 1e-12          # constant SF volume
-        assert np.abs(field.amplitude.data).max() < 1e-12  # no interfaces
+        assert np.abs(field.volumes["amp"].data).max() < 1e-12  # no interfaces
 
     def test_wells_inside_volume(self, bench_field):
-        vol = bench_field.sf
+        vol = bench_field.volumes["sf"]
         t_end = vol.t0_ms + vol.dt_ms * (vol.n_samples - 1)
         for well in bench_field.wells:
             assert well.inline in vol.inlines and well.xline in vol.xlines
@@ -60,8 +60,8 @@ class TestGenerateField:
             assert (np.diff(well.depths_m) > 0).all()
 
     def test_sf_within_unit_interval(self, bench_field):
-        assert bench_field.sf.data.min() >= 0.0
-        assert bench_field.sf.data.max() <= 1.0
+        assert bench_field.volumes["sf"].data.min() >= 0.0
+        assert bench_field.volumes["sf"].data.max() <= 1.0
         for well in bench_field.wells:
             assert well.sf.min() >= 0.0 and well.sf.max() <= 1.0
 
@@ -81,8 +81,8 @@ class TestGenerateField:
 
     def test_impedance_decreases_with_sand(self, bench_field):
         # monotone-decreasing map plus band-limiting: correlation is negative
-        flat_sf = bench_field.sf.data.ravel()
-        flat_imp = bench_field.impedance.data.ravel()
+        flat_sf = bench_field.volumes["sf"].data.ravel()
+        flat_imp = bench_field.volumes["imp"].data.ravel()
         assert np.corrcoef(flat_sf, flat_imp)[0, 1] < -0.5
 
 
