@@ -12,13 +12,12 @@ import sys
 
 import numpy as np
 
-from . import emdreg, metrics, mlp, pipeline, volpost
+from . import emdreg, metrics, mlp, pipeline, synthbench, volpost
 from .errors import ConfigError, DataError, DivergenceError
 from .formats.las import parse_las
 from .formats.segy import TraceLayout, parse_segy
 from .formats.svol import open_svol, read_svol, write_svol
 from .formats.volume import ATTRIBUTE_LONG_NAMES, volume_from_traces
-from .synthparams import SynthFieldParams
 
 
 def _cmd_convert(args):
@@ -46,11 +45,7 @@ def _cmd_convert(args):
 
 
 def _cmd_synth(args):
-    # synthbench pulls in scipy.signal and scipy.ndimage; no other command
-    # needs them
-    from . import synthbench
-
-    params = SynthFieldParams(
+    params = synthbench.SynthFieldParams(
         seed=args.seed, n_inlines=args.inlines, n_xlines=args.xlines,
         n_samples=args.samples, layer_count=args.layers,
         wavelet_center_freq_hz=args.wavelet_freq, noise_level=args.noise)
@@ -154,9 +149,8 @@ def _cmd_train(args):
     mlp.save_model(args.out, bundle)
 
     def describe(rows):
-        report = pipeline.evaluate_subset(bundle, inputs[rows], targets[rows])
-        return (f"cc={report.cc:.4f} rmse={report.rmse:.4f} "
-                f"aem={report.aem:.4f} si={report.si:.4f}")
+        scores = pipeline.evaluate_subset(bundle, inputs[rows], targets[rows])
+        return " ".join(f"{k}={scores[k]:.4f}" for k in metrics.EVALUATORS)
 
     print(f"trained {history.iterations} iterations "
           f"(stop: {history.stop_reason}, loss {history.final_loss:.3e})")
@@ -246,17 +240,17 @@ def build_parser() -> argparse.ArgumentParser:
                    default=TraceLayout.xline_byte_offset)
     p.set_defaults(func=_cmd_convert)
 
+    synth = synthbench.SynthFieldParams
     p = sub.add_parser("synth", help="generate the synthetic benchmark field")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--inlines", type=int, default=SynthFieldParams.n_inlines)
-    p.add_argument("--xlines", type=int, default=SynthFieldParams.n_xlines)
-    p.add_argument("--samples", type=int, default=SynthFieldParams.n_samples)
-    p.add_argument("--layers", type=int, default=SynthFieldParams.layer_count)
+    p.add_argument("--inlines", type=int, default=synth.n_inlines)
+    p.add_argument("--xlines", type=int, default=synth.n_xlines)
+    p.add_argument("--samples", type=int, default=synth.n_samples)
+    p.add_argument("--layers", type=int, default=synth.layer_count)
     p.add_argument("--wavelet-freq", type=float,
-                   default=SynthFieldParams.wavelet_center_freq_hz)
-    p.add_argument("--noise", type=float,
-                   default=SynthFieldParams.noise_level)
+                   default=synth.wavelet_center_freq_hz)
+    p.add_argument("--noise", type=float, default=synth.noise_level)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("prep", help="LAS + velocity + volumes to pattern CSV")

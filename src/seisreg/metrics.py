@@ -42,23 +42,8 @@ class Psd:
     power: np.ndarray
 
 
-@dataclass
-class MetricsReport:
-    cc: float
-    rmse: float
-    aem: float
-    si: float
-
-    @property
-    def cc_defined(self) -> bool:
-        return not math.isnan(self.cc)
-
-    @property
-    def si_defined(self) -> bool:
-        return not math.isnan(self.si)
-
-    def to_dict(self):
-        return {"cc": self.cc, "rmse": self.rmse, "aem": self.aem, "si": self.si}
+# The performance evaluators, in the column order of every score table
+EVALUATORS = ("cc", "rmse", "aem", "si")
 
 
 def psd(series: TimeSeries) -> Psd:
@@ -125,12 +110,13 @@ def nmi(x, y, bins: int) -> float:
     return (hx + hy - hxy) / h_min
 
 
-def evaluate(predicted, actual) -> MetricsReport:
-    """CC, RMSE, AEM and SI for a predicted-vs-actual pair.
+def evaluate(predicted, actual) -> dict:
+    """CC, RMSE, AEM and SI for a predicted-vs-actual pair, keyed by
+    EVALUATORS.
 
     A constant actual raises (CC undefined either way); a constant
-    predicted or a zero-mean actual yields NaN in the affected field so the
-    caller can flag it, with the remaining evaluators still filled in.
+    predicted or a zero-mean actual yields NaN in the affected score, with
+    the remaining evaluators still filled in.
     """
     predicted = np.asarray(predicted, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
@@ -152,4 +138,4 @@ def evaluate(predicted, actual) -> MetricsReport:
         cc = min(1.0, max(-1.0, float(cov / (std_p * std_a))))
     mean_a = actual.mean()
     si = math.nan if mean_a == 0 else float(rmse / mean_a)
-    return MetricsReport(cc=cc, rmse=rmse, aem=aem, si=si)
+    return dict(zip(EVALUATORS, (cc, rmse, aem, si)))

@@ -48,7 +48,9 @@ def moving_average_baseline(series: TimeSeries, span: int = 9) -> TimeSeries:
     return series.with_values((padded[hi] - padded[lo]) / (hi - lo))
 
 
-GOOD_FIT = {"cc_min": 0.80, "rmse_max": 0.15, "aem_max": 0.15, "si_max": 0.35}
+# A well fits well when its CC is above its bound and each other evaluator
+# below its own: the CC bound is a floor, the other three are ceilings
+GOOD_FIT = dict(zip(metrics.EVALUATORS, (0.80, 0.15, 0.15, 0.35)))
 
 
 @dataclass(frozen=True)
@@ -364,14 +366,16 @@ def prepare_well(well_cfg: WellConfig, volumes: dict, dt_ms: float) -> WellData:
         raise DataError(f"well {well_cfg.well_id}: need at least 2 {well_cfg.sf_curve} "
                         f"samples on the {dt_ms} ms grid, got {len(sf_ts)}")
 
-    inline = well_cfg.inline
-    xline = well_cfg.xline
-    if inline is None:
-        inline = log.meta_float("ILIN")
-        inline = int(inline) if inline is not None else None
-    if xline is None:
-        xline = log.meta_float("XLIN")
-        xline = int(xline) if xline is not None else None
+    def las_line(key):
+        # a position in the LAS must be a finite whole number (12.0 is 12)
+        value = log.meta_float(key)
+        if value is not None and not value.is_integer():
+            raise DataError(f"well {well_cfg.well_id}: LAS ~W {key} must be a "
+                            f"whole number, got {value}")
+        return None if value is None else int(value)
+
+    inline = las_line("ILIN") if well_cfg.inline is None else well_cfg.inline
+    xline = las_line("XLIN") if well_cfg.xline is None else well_cfg.xline
     if inline is None or xline is None:
         raise ConfigError(
             f"well {well_cfg.well_id}: no inline/xline in config or LAS ~W (ILIN/XLIN)"
@@ -407,11 +411,10 @@ def _well_tables(well: WellData, scored: dict, sf_norm: TimeSeries,
     return {"entropy_bits": entropy, "nmi": nmi_rows}
 
 
-def _good_fit(report: metrics.MetricsReport) -> bool:
-    return (report.cc_defined and report.cc > GOOD_FIT["cc_min"]
-            and report.rmse < GOOD_FIT["rmse_max"]
-            and report.aem < GOOD_FIT["aem_max"]
-            and report.si_defined and report.si < GOOD_FIT["si_max"])
+def _good_fit(scores: dict) -> bool:
+    # a NaN score compares false, so an undefined CC or SI fails
+    return scores["cc"] > GOOD_FIT["cc"] and all(
+        scores[k] < GOOD_FIT[k] for k in metrics.EVALUATORS[1:])
 
 
 @dataclass
@@ -468,8 +471,7 @@ def train_model(wells, config: RunConfig, inputs, input_stats, targets,
     return bundle, history, split
 
 
-def evaluate_subset(bundle: mlp.ModelBundle, inputs,
-                    targets) -> metrics.MetricsReport:
+def evaluate_subset(bundle: mlp.ModelBundle, inputs, targets) -> dict:
     """The four evaluators on the given rows, in target units."""
     invert = bundle.target_stats.invert
     pred = invert(mlp.forward_batch(bundle.model, inputs))
@@ -501,7 +503,6 @@ def _run_attempt(wells, bounds, config: RunConfig, inputs, input_stats,
     bundle, history, (_, test, held_out) = train_model(
         wells, config, inputs, input_stats, reg_targets, target_stats)
     score = lambda rows: evaluate_subset(bundle, inputs[rows], reg_targets[rows])
-    test_report = score(test)
     # each validation row's well: the block of the pooled table it falls in
     well_of = np.searchsorted(bounds, held_out, side="right") - 1
     validation = {w.well_id: score(held_out[well_of == k])
@@ -515,9 +516,9 @@ def _run_attempt(wells, bounds, config: RunConfig, inputs, input_stats,
         "train": {"iterations": history.iterations,
                   "final_loss": history.final_loss,
                   "stop_reason": history.stop_reason},
-        "test": test_report.to_dict(),
-        "validation": {wid: r.to_dict() for wid, r in validation.items()},
-        "validation_pooled": pooled.to_dict(),
+        "test": score(test),
+        "validation": validation,
+        "validation_pooled": pooled,
         "good_fit": {wid: _good_fit(r) for wid, r in validation.items()},
     }
     return attempt, bundle
@@ -585,8 +586,8 @@ def _build_model(config: RunConfig, wells):
                                        input_stats, target_stats, regularized)
         attempt["attempt"] = attempt_no
         attempts.append(attempt)
-        pooled_cc = attempt["validation_pooled"]["cc"]
-        if not math.isnan(pooled_cc) and pooled_cc >= config.validation_cc_threshold:
+        # a NaN pooled CC compares false and retries
+        if attempt["validation_pooled"]["cc"] >= config.validation_cc_threshold:
             break
         tightened = METHODS[params.method].tighten(params)
         if tightened is None:
@@ -639,6 +640,9 @@ def report_tables(attempt: dict, fmt: str = "text") -> str:
     def emit(*cells):
         print(sep.join(str(c) for c in cells), file=out)
 
+    def scores(row):
+        return [_fmt(row[k]) for k in metrics.EVALUATORS]
+
     for well_id in sorted(attempt["tables"]):
         tables = attempt["tables"][well_id]
         emit(f"# entropy_bits well={well_id}")
@@ -651,24 +655,18 @@ def report_tables(attempt: dict, fmt: str = "text") -> str:
             row = tables["nmi"][name]
             emit(name, _fmt(row["original"]), _fmt(row["regularized"]))
         emit()
-    emit("# validation per well "
-         f"(good fit: CC>{GOOD_FIT['cc_min']}, RMSE<{GOOD_FIT['rmse_max']}, "
-         f"AEM<{GOOD_FIT['aem_max']}, SI<{GOOD_FIT['si_max']})")
-    emit("well", "cc", "rmse", "aem", "si", "verdict")
+    bounds = ", ".join(f"{k.upper()}{'>' if k == 'cc' else '<'}{bound}"
+                       for k, bound in GOOD_FIT.items())
+    emit(f"# validation per well (good fit: {bounds})")
+    emit("well", *metrics.EVALUATORS, "verdict")
     for well_id in sorted(attempt["validation"]):
-        row = attempt["validation"][well_id]
         verdict = "pass" if attempt["good_fit"][well_id] else "FAIL"
-        emit(well_id, _fmt(row["cc"]), _fmt(row["rmse"]), _fmt(row["aem"]),
-             _fmt(row["si"]), verdict)
-    pooled = attempt["validation_pooled"]
-    emit("pooled", _fmt(pooled["cc"]), _fmt(pooled["rmse"]),
-         _fmt(pooled["aem"]), _fmt(pooled["si"]), "")
+        emit(well_id, *scores(attempt["validation"][well_id]), verdict)
+    emit("pooled", *scores(attempt["validation_pooled"]), "")
     emit()
     emit("# test (pooled)")
-    test = attempt["test"]
-    emit("cc", "rmse", "aem", "si")
-    emit(_fmt(test["cc"]), _fmt(test["rmse"]), _fmt(test["aem"]),
-         _fmt(test["si"]))
+    emit(*metrics.EVALUATORS)
+    emit(*scores(attempt["test"]))
     return out.getvalue()
 
 

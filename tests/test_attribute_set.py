@@ -1,26 +1,57 @@
-"""The attribute keys, their order and their long names live in
-`formats.volume.ATTRIBUTE_LONG_NAMES` alone; every other module reads them
-from there."""
+"""Two sets are named in one module each, and every other module reads them
+from there: the attribute keys, their order and their long names in
+`formats.volume.ATTRIBUTE_LONG_NAMES`, and the four evaluators and their
+column order in `metrics.EVALUATORS`."""
 
 import ast
 import os
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "seisreg")
-HOME = os.path.join("formats", "volume.py")
 
 
-def test_no_module_spells_out_the_attribute_set():
-    found = []
+def _nodes_outside(home):
+    """(relative path, AST node) of every node of every module of
+    src/seisreg but `home`."""
     for folder, _, files in os.walk(SRC_DIR):
         for name in files:
             path = os.path.join(folder, name)
-            if not name.endswith(".py") or os.path.relpath(path, SRC_DIR) == HOME:
+            rel = os.path.relpath(path, SRC_DIR)
+            if not name.endswith(".py") or rel == home:
                 continue
             with open(path) as fh:
                 tree = ast.parse(fh.read(), path)
             for node in ast.walk(tree):
-                if isinstance(node, (ast.Tuple, ast.List)) and [
-                        getattr(e, "value", None) for e in node.elts] == [
-                        "imp", "amp", "freq"]:
-                    found.append(f"{os.path.relpath(path, SRC_DIR)}:{node.lineno}")
+                yield rel, node
+
+
+def _values(nodes) -> list:
+    return [getattr(n, "value", None) for n in nodes]
+
+
+def test_no_module_spells_out_the_attribute_set():
+    found = []
+    for rel, node in _nodes_outside(os.path.join("formats", "volume.py")):
+        if isinstance(node, (ast.Tuple, ast.List)) and _values(node.elts) == [
+                "imp", "amp", "freq"]:
+            found.append(f"{rel}:{node.lineno}")
+    assert not found
+
+
+def test_no_module_spells_out_the_evaluator_set():
+    # in a row among a tuple's or list's elements, a call's positional
+    # arguments or a dict's keys
+    evaluators = ["cc", "rmse", "aem", "si"]
+    found = []
+    for rel, node in _nodes_outside("metrics.py"):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            values = _values(node.elts)
+        elif isinstance(node, ast.Call):
+            values = _values(node.args)
+        elif isinstance(node, ast.Dict):
+            values = _values(node.keys)
+        else:
+            continue
+        if any(values[i:i + len(evaluators)] == evaluators
+               for i in range(len(values))):
+            found.append(f"{rel}:{node.lineno}")
     assert not found

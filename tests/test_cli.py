@@ -14,7 +14,7 @@ from seisreg.formats.las import parse_las, write_las
 from seisreg.formats.svol import read_svol, write_svol
 from seisreg.formats.volume import SeismicVolume
 from seisreg.resample import MinMaxStats, ZscoreStats
-from seisreg.synthparams import SynthFieldParams
+from seisreg.synthbench import SynthFieldParams
 from test_formats import make_segy
 
 
@@ -218,6 +218,35 @@ class TestExitCodes:
         assert err.count("well A: need at least 2 SF samples on the 0.15 ms grid, "
                          f"got {on_grid}") == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "12.7"])
+    def test_las_position_not_a_whole_number_is_3(self, workdir, bench, value,
+                                                  capsys):
+        log = parse_las((bench / "well_A.las").read_text())
+        log.well_meta["ILIN"] = (value, "")
+        las = workdir / f"ilin_{value}.las"
+        las.write_text(write_las(log))
+        out = workdir / "bad_ilin.csv"
+        assert run("prep", *_prep_volumes(bench), "--out", out,
+                   "--well", f"A:{las}:{bench}/vel_A.csv") == 3
+        assert not out.exists()
+        cfg = workdir / "bad_ilin.cfg"
+        cfg.write_text(synthbench.config_text(bench).replace(
+            str(bench / "well_A.las"), str(las)))
+        assert run("run", "--config", cfg) == 3
+        assert capsys.readouterr().err.count(
+            "well A: LAS ~W ILIN must be a whole number") == 2
+
+    def test_las_position_as_whole_float_is_read(self, workdir, bench):
+        log = parse_las((bench / "well_A.las").read_text())
+        log.well_meta["ILIN"] = (log.well_meta["ILIN"][0] + ".0", "")
+        las = workdir / "ilin_float.las"
+        las.write_text(write_las(log))
+        outs = [workdir / "ilin_int.csv", workdir / "ilin_float.csv"]
+        for out, path in zip(outs, [bench / "well_A.las", las]):
+            assert run("prep", *_prep_volumes(bench), "--out", out,
+                       "--well", f"A:{path}:{bench}/vel_A.csv") == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @pytest.mark.parametrize("change", ["extra_inline", "later_start"])
     def test_volume_geometry_mismatch_is_3(self, workdir, bench, change, capsys):

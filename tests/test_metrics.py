@@ -181,32 +181,33 @@ class TestEvaluate:
     def test_perfect_prediction(self):
         actual = np.array([0.2, 0.4, 0.6])
         r = evaluate(actual, actual)
-        assert (r.cc, r.rmse, r.aem, r.si) == (pytest.approx(1.0), 0.0, 0.0, 0.0)
+        assert (r["cc"], r["rmse"], r["aem"], r["si"]) == (
+            pytest.approx(1.0), 0.0, 0.0, 0.0)
 
     def test_hand_computed(self):
         r = evaluate([0.0, 0.0], [3.0, 4.0])
-        assert r.rmse == pytest.approx(math.sqrt(12.5))
-        assert r.aem == pytest.approx(3.5)
-        assert r.si == pytest.approx(math.sqrt(12.5) / 3.5)
-        assert not r.cc_defined  # constant prediction leaves CC undefined
+        assert r["rmse"] == pytest.approx(math.sqrt(12.5))
+        assert r["aem"] == pytest.approx(3.5)
+        assert r["si"] == pytest.approx(math.sqrt(12.5) / 3.5)
+        assert math.isnan(r["cc"])  # constant prediction leaves CC undefined
 
     def test_anticorrelation(self):
         actual = np.array([-1.0, 0.0, 1.0])
         r = evaluate(-actual, actual)
-        assert r.cc == pytest.approx(-1.0)
+        assert r["cc"] == pytest.approx(-1.0)
 
     def test_rmse_at_least_aem(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             r = evaluate(rng.standard_normal(50), rng.standard_normal(50) + 1.0)
-            assert r.rmse >= r.aem - 1e-15
+            assert r["rmse"] >= r["aem"] - 1e-15
 
     def test_cc_affine_invariant(self):
         rng = np.random.default_rng(11)
         predicted = rng.standard_normal(100)
         actual = predicted + 0.3 * rng.standard_normal(100) + 2.0
-        base = evaluate(predicted, actual).cc
-        scaled = evaluate(3.0 * predicted + 7.0, actual).cc
+        base = evaluate(predicted, actual)["cc"]
+        scaled = evaluate(3.0 * predicted + 7.0, actual)["cc"]
         assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_constant_actual_raises(self):
@@ -215,5 +216,5 @@ class TestEvaluate:
 
     def test_zero_mean_actual_flags_si(self):
         r = evaluate([0.1, -0.2], [1.0, -1.0])
-        assert not r.si_defined
-        assert r.rmse > 0 and r.cc_defined
+        assert math.isnan(r["si"])
+        assert r["rmse"] > 0 and not math.isnan(r["cc"])
