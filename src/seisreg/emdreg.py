@@ -9,11 +9,14 @@ extrema across each boundary, which is the dominant failure mode when left
 unhandled.
 
 The envelopes are natural cubic splines built in numpy around one LAPACK
-tridiagonal solve from `scipy.linalg`: the same arithmetic as
-`scipy.interpolate.CubicSpline(..., bc_type="natural")`, bit for bit,
-without loading `scipy.interpolate`.
+tridiagonal solve (`dgtsv`): the same arithmetic as
+`scipy.interpolate.CubicSpline(..., bc_type="natural")`, bit for bit.  The
+solve calls the `dgtsv` of the OpenBLAS that numpy has already loaded, so EMD
+loads no scipy; only a numpy built without that symbol (MKL, Accelerate)
+falls back to `scipy.linalg.lapack.dgtsv`.
 """
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,18 +92,39 @@ def zero_crossings(values) -> int:
     return int(np.count_nonzero(np.diff(np.sign(nz))))
 
 
+def _numpy_dgtsv():
+    """LAPACK `dgtsv` from the OpenBLAS numpy's linalg is linked against, or
+    None when that build exports no `scipy_dgtsv_64_`.
+
+    A handle's symbol lookup also searches the library's dependencies, so
+    this finds the OpenBLAS already mapped and maps no new library.  The
+    `_64_` routine takes 64-bit integers.
+    """
+    try:
+        fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dgtsv_64_
+    except (OSError, AttributeError):
+        return None
+    # raw pointers: ndpointer argtypes cost about 20 us more per call
+    fn.argtypes = [ctypes.c_void_p] * 8
+    fn.restype = None
+    return fn
+
+
+_DGTSV = _numpy_dgtsv()
+
+
 def _natural_spline(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     """`scipy.interpolate.CubicSpline(x, y, bc_type="natural")` on 0..n-1,
     operation for operation, so every bit of it is kept.
 
     The knot slopes solve CubicSpline's tridiagonal system with the LAPACK
-    routine it reaches through `solve_banded`; each sample then evaluates
-    its interval's Hermite cubic as `PPoly` does.  `x` is float64, strictly
-    increasing, with x[0] <= 0 and x[-1] >= n - 1.
+    routine it reaches through `solve_banded`, `dgtsv`, taken from numpy's
+    OpenBLAS (`_DGTSV`) or, when numpy has none, from `scipy.linalg.lapack`;
+    each sample then evaluates its interval's Hermite cubic as `PPoly` does.
+    `x` is strictly increasing, with x[0] <= 0 and x[-1] >= n - 1.
     """
-    # imported here so that only EMD runs load scipy, and only scipy.linalg
-    from scipy.linalg.lapack import dgtsv
-
+    # as CubicSpline does; dgtsv reads the buffers below as float64
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     dx = np.diff(x)
     slope = np.diff(y) / dx
     # one row per knot: the slope equations inside, zero curvature at the
@@ -113,9 +137,19 @@ def _natural_spline(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
                         3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
                         0.0 + 3 * (y[-1:] - y[-2:-1])])
     # strictly increasing knots make the system strictly diagonally
-    # dominant, so dgtsv never reports a singular one
-    s = dgtsv(dl, d, du, b, overwrite_dl=True, overwrite_d=True,
-              overwrite_du=True, overwrite_b=True)[3]
+    # dominant, so dgtsv never reports a singular one.  It overwrites the
+    # four fresh float64 arrays; b becomes the solution
+    if _DGTSV is None:
+        # imported here so that only EMD runs on such a numpy load scipy
+        from scipy.linalg.lapack import dgtsv
+        s = dgtsv(dl, d, du, b, overwrite_dl=True, overwrite_d=True,
+                  overwrite_du=True, overwrite_b=True)[3]
+    else:
+        ints = np.array([len(d), 1, 0], dtype=np.int64)  # n = ldb, nrhs, info
+        p = ints.ctypes.data
+        _DGTSV(p, p + 8, dl.ctypes.data, d.ctypes.data, du.ctypes.data,
+               b.ctypes.data, p, p + 16)
+        s = b
     # CubicHermiteSpline's coefficients, highest power first
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
@@ -140,7 +174,7 @@ def _mirrored_spline(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     """
     xs = np.concatenate([-idx[:2][::-1], idx, 2 * (n - 1) - idx[-2:][::-1]])
     ys = np.concatenate([vals[:2][::-1], vals, vals[-2:][::-1]])
-    return _natural_spline(xs.astype(np.float64), ys, n)
+    return _natural_spline(xs, ys, n)
 
 
 def envelope_mean(x: np.ndarray) -> np.ndarray:

@@ -65,14 +65,6 @@ class LasLog:
             raise DataError(f"no curve {mnemonic!r}; have {names}")
         return self.rows[:, names.index(mnemonic)]
 
-    def meta_float(self, key: str, default=None):
-        if key not in self.well_meta:
-            return default
-        try:
-            return float(self.well_meta[key][0])
-        except ValueError:
-            return default
-
 
 def _split_sections(text: str) -> dict:
     sections = {}

@@ -367,12 +367,19 @@ def prepare_well(well_cfg: WellConfig, volumes: dict, dt_ms: float) -> WellData:
                         f"samples on the {dt_ms} ms grid, got {len(sf_ts)}")
 
     def las_line(key):
-        # a position in the LAS must be a finite whole number (12.0 is 12)
-        value = log.meta_float(key)
-        if value is not None and not value.is_integer():
+        # a position in the LAS must be a finite whole number (12.0 is 12);
+        # an absent or blank one is left to the config
+        text = log.well_meta.get(key, ("",))[0]
+        if not text:
+            return None
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not value.is_integer():
             raise DataError(f"well {well_cfg.well_id}: LAS ~W {key} must be a "
-                            f"whole number, got {value}")
-        return None if value is None else int(value)
+                            f"whole number, got {text}")
+        return int(value)
 
     inline = las_line("ILIN") if well_cfg.inline is None else well_cfg.inline
     xline = las_line("XLIN") if well_cfg.xline is None else well_cfg.xline

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from seisreg import cli, mlp, pipeline, synthbench
+from seisreg import cli, emdreg, mlp, pipeline, synthbench
 from seisreg.formats import svol
 from seisreg.formats.segy import TraceLayout
 from seisreg.formats.las import parse_las, write_las
@@ -219,7 +219,7 @@ class TestExitCodes:
                          f"got {on_grid}") == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "12.7"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "12.7", "five"])
     def test_las_position_not_a_whole_number_is_3(self, workdir, bench, value,
                                                   capsys):
         log = parse_las((bench / "well_A.las").read_text())
@@ -236,6 +236,22 @@ class TestExitCodes:
         assert run("run", "--config", cfg) == 3
         assert capsys.readouterr().err.count(
             "well A: LAS ~W ILIN must be a whole number") == 2
+
+    @pytest.mark.parametrize("value", [None, ""])
+    def test_las_position_absent_or_blank_is_2(self, workdir, bench, value,
+                                               capsys):
+        log = parse_las((bench / "well_A.las").read_text())
+        if value is None:
+            del log.well_meta["ILIN"]
+        else:
+            log.well_meta["ILIN"] = (value, "")
+        las = workdir / f"ilin_{value!r}.las"
+        las.write_text(write_las(log))
+        out = workdir / "no_ilin.csv"
+        assert run("prep", *_prep_volumes(bench), "--out", out,
+                   "--well", f"A:{las}:{bench}/vel_A.csv") == 2
+        assert not out.exists()
+        assert "well A: no inline/xline in config or LAS ~W" in capsys.readouterr().err
 
     def test_las_position_as_whole_float_is_read(self, workdir, bench):
         log = parse_las((bench / "well_A.las").read_text())
@@ -582,11 +598,10 @@ def _modules_after(code):
 
 
 class TestImports:
-    """scipy serves only `seisreg synth` and the EMD engine, which loads
-    `scipy.linalg` for its tridiagonal solve and never `scipy.interpolate`;
-    no other command pays for loading scipy.  Each check runs in a fresh
-    interpreter, because this one has imported synthbench and
-    scipy.interpolate for the tests."""
+    """scipy serves only `seisreg synth`, plus the EMD engine's tridiagonal
+    solve on a numpy whose LAPACK has no `scipy_dgtsv_64_`; no other command
+    pays for loading scipy.  Each check runs in a fresh interpreter, because
+    this one has imported synthbench and scipy.interpolate for the tests."""
 
     def test_importing_the_cli_loads_no_scipy(self):
         assert "'scipy'" not in _modules_after(
@@ -604,12 +619,21 @@ class TestImports:
         assert (workdir / "noscipy" / "sf_pred_med.svol").is_file()
         assert "'scipy'" not in modules
 
-    def test_emd_regularize_loads_no_scipy_interpolate(self, workdir, patterns):
-        out = workdir / "emd_imports.csv"
-        argv = ["regularize", str(patterns), "--method", "emd", "--out", str(out),
-                "--report", str(workdir / "emd_imports.json")]
+    @pytest.mark.skipif(emdreg._DGTSV is None,
+                        reason="numpy's LAPACK has no scipy_dgtsv_64_")
+    @pytest.mark.parametrize("command", ["regularize", "run"])
+    def test_emd_loads_no_scipy(self, workdir, bench, patterns, command):
+        out = workdir / f"emd_imports_{command}"
+        if command == "regularize":
+            argv = ["regularize", str(patterns), "--method", "emd",
+                    "--out", str(out), "--report", str(out) + ".json"]
+        else:
+            cfg = workdir / "emd_imports.cfg"
+            cfg.write_text(synthbench.config_text(bench))
+            argv = ["run", "--config", str(cfg), "--set", "method=emd",
+                    "--set", "max_iters=20", "--set", "max_attempts=1",
+                    "--set", f"outdir={out}"]
         modules = _modules_after(
             f"from seisreg import cli\nassert cli.main({argv!r}) == 0")
-        assert out.is_file()
-        assert "'scipy.linalg.lapack'" in modules
-        assert "'scipy.interpolate'" not in modules
+        assert out.exists()
+        assert "'scipy'" not in modules

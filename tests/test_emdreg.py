@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
+from seisreg import emdreg
 from seisreg.emdreg import (
     P1OutOfRange,
     SiftParams,
@@ -93,7 +94,13 @@ _VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
 
 
 class TestNaturalSpline:
-    @settings(max_examples=150, deadline=None)
+    # the solver is set once per test, not per example
+    @pytest.mark.parametrize("solver", [
+        pytest.param("numpy", marks=pytest.mark.skipif(
+            emdreg._DGTSV is None, reason="numpy's LAPACK has no scipy_dgtsv_64_")),
+        "scipy"])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(knots=st.lists(st.tuples(_GAPS, _VALUES), min_size=6, max_size=40),
            start=st.floats(0.0, 1.0), end=st.floats(0.0, 1.0))
     # a gap much wider than the one before it makes dgtsv swap rows
@@ -107,7 +114,9 @@ class TestNaturalSpline:
     @example(knots=list(zip([0, 3, 1, 1, 1, 2],
                             [-0.0, -1.0, -1.0, 1.0, -1.0, -1.0])),
              start=0.0, end=1.0)
-    def test_bit_identical_to_scipy(self, knots, start, end):
+    def test_bit_identical_to_scipy(self, solver, monkeypatch, knots, start, end):
+        if solver == "scipy":
+            monkeypatch.setattr(emdreg, "_DGTSV", None)
         gaps, y = np.array(knots, dtype=np.float64).T
         x = np.cumsum(gaps) - gaps[0]
         x -= start * (x[-1] - 1.0)                  # x[0] <= 0 < 1 <= x[-1]

@@ -103,8 +103,8 @@ class TestWriters:
         log = parse_las(write_las(well_to_las(well)))
         np.testing.assert_array_equal(log.depths, well.depths_m)
         np.testing.assert_array_equal(log.curve("SF"), well.sf)
-        assert int(log.meta_float("ILIN")) == well.inline
-        assert int(log.meta_float("XLIN")) == well.xline
+        assert int(log.well_meta["ILIN"][0]) == well.inline
+        assert int(log.well_meta["XLIN"][0]) == well.xline
 
     def test_velocity_csv_roundtrip(self, bench_field, tmp_path):
         well = bench_field.wells[0]
