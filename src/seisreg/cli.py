@@ -124,6 +124,7 @@ def _cmd_regularize(args):
 
 def _cmd_emd_dump(args):
     wells = pipeline.read_patterns_csv(args.patterns)
+    os.makedirs(args.out, exist_ok=True)
     for w in wells:
         decomposition = emdreg.emd(w.series(w.sf),
                                    emdreg.SiftParams(sd_threshold=args.sd))

@@ -30,10 +30,6 @@ class TooFewExtrema(DataError):
     pass
 
 
-class P1OutOfRange(ConfigError):
-    pass
-
-
 # sifting caps: envelope subtractions per IMF, and IMFs per decomposition
 MAX_SIFT_ITERS = 50
 MAX_IMFS = 16
@@ -242,9 +238,9 @@ def regularize_emd(series: TimeSeries, decomposition: ImfSet, p1: int):
     """
     count = len(decomposition)
     if count == 0:
-        raise P1OutOfRange("input has no IMFs; nothing to suppress")
+        raise ConfigError("input has no IMFs; nothing to suppress")
     if not 1 <= p1 < count:
-        raise P1OutOfRange(f"p1={p1} outside 1..{count - 1} for {count} IMFs")
+        raise ConfigError(f"p1={p1} outside 1..{count - 1} for {count} IMFs")
     out_values = series.values.copy()
     for imf in decomposition.imfs[:p1]:
         out_values -= imf.values

@@ -1,8 +1,10 @@
 """Exception bases shared across the package.
 
-Concrete error classes live next to the code that raises them; the bases
-here exist so the CLI can map failures onto exit codes (config error -> 2,
-data error -> 3, numeric divergence -> 4).
+Code raises the three bases directly, and the CLI maps them onto exit codes
+(config error -> 2, data error -> 3, numeric divergence -> 4).  A subclass
+exists only where code catches it by type or it carries data, and it lives
+next to the code that raises it: `emdreg.TooFewExtrema` and
+`mlp.DivergedNonFinite`.
 """
 
 

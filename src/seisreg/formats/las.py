@@ -14,22 +14,6 @@ import numpy as np
 from ..errors import DataError
 
 
-class LasParseError(DataError):
-    pass
-
-
-class MissingSection(LasParseError):
-    pass
-
-
-class VersionUnsupported(LasParseError):
-    pass
-
-
-class RaggedRow(LasParseError):
-    pass
-
-
 DEFAULT_NULL = -999.25
 
 # "MNEM.UNIT   VALUE : DESCRIPTION" — unit runs to the first whitespace,
@@ -98,7 +82,7 @@ def parse_las(text: str) -> LasLog:
     sections = _split_sections(text)
     for required in ("V", "C", "A"):
         if required not in sections:
-            raise MissingSection(f"LAS input has no ~{required} section")
+            raise DataError(f"LAS input has no ~{required} section")
 
     version = None
     wrap = "NO"
@@ -109,9 +93,9 @@ def parse_las(text: str) -> LasLog:
         if parsed and parsed[0].upper() == "WRAP":
             wrap = parsed[2].upper()
     if version is None or not version.startswith("2.0"):
-        raise VersionUnsupported(f"need LAS 2.0, got VERS={version!r}")
+        raise DataError(f"need LAS 2.0, got VERS={version!r}")
     if wrap not in ("NO", ""):
-        raise VersionUnsupported("wrapped (~V WRAP=YES) files are not supported")
+        raise DataError("wrapped (~V WRAP=YES) files are not supported")
 
     well_meta = {}
     null_value = DEFAULT_NULL
@@ -125,38 +109,38 @@ def parse_las(text: str) -> LasLog:
             try:
                 null_value = float(value)
             except ValueError:
-                raise LasParseError(f"unparseable NULL value {value!r}")
+                raise DataError(f"unparseable NULL value {value!r}")
 
     curves = []
     for line in sections["C"]:
         parsed = _parse_info_line(line)
         if parsed is None:
-            raise LasParseError(f"unparseable ~C line: {line!r}")
+            raise DataError(f"unparseable ~C line: {line!r}")
         curves.append(LasCurve(mnemonic=parsed[0], unit=parsed[1], description=parsed[3]))
     if not curves:
-        raise MissingSection("~C section defines no curves")
+        raise DataError("~C section defines no curves")
 
     n_curves = len(curves)
     rows = []
     for line in sections["A"]:
         cells = line.split()
         if len(cells) != n_curves:
-            raise RaggedRow(
+            raise DataError(
                 f"row has {len(cells)} values, expected {n_curves}: {line.strip()!r}"
             )
         try:
             rows.append([float(c) for c in cells])
         except ValueError:
-            raise LasParseError(f"non-numeric cell in ~A row: {line.strip()!r}")
+            raise DataError(f"non-numeric cell in ~A row: {line.strip()!r}")
     table = np.array(rows, dtype=np.float64).reshape(len(rows), n_curves)
     table[table == null_value] = np.nan
 
     depths = table[:, 0]
     if np.isnan(depths).any():
-        raise LasParseError("NULL sentinel in the depth column")
+        raise DataError("NULL sentinel in the depth column")
     steps = np.diff(depths)
     if len(depths) > 1 and not ((steps > 0).all() or (steps < 0).all()):
-        raise LasParseError("depth column is not strictly monotone")
+        raise DataError("depth column is not strictly monotone")
 
     return LasLog(well_meta=well_meta, curves=curves, null_value=null_value,
                   rows=table)

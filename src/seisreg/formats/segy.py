@@ -30,18 +30,6 @@ DEFAULT_XLINE_BYTE = 193
 SUPPORTED_FORMAT_CODES = (1, 5)
 
 
-class TruncatedFile(DataError):
-    pass
-
-
-class UnsupportedFormatCode(DataError):
-    pass
-
-
-class InconsistentTraceLength(DataError):
-    pass
-
-
 @dataclass
 class SegyBinaryHeader:
     sample_interval_us: int
@@ -79,7 +67,7 @@ def parse_segy(data: bytes, layout: TraceLayout | None = None) -> SegyVolumeRaw:
     """Parse SEG-Y bytes into the binary header plus decoded traces."""
     layout = layout or TraceLayout()
     if len(data) < TEXTUAL_HEADER_LEN + BINARY_HEADER_LEN:
-        raise TruncatedFile(
+        raise DataError(
             f"file is {len(data)} bytes, shorter than the 3600-byte header region"
         )
     binary = data[TEXTUAL_HEADER_LEN:TEXTUAL_HEADER_LEN + BINARY_HEADER_LEN]
@@ -94,16 +82,16 @@ def parse_segy(data: bytes, layout: TraceLayout | None = None) -> SegyVolumeRaw:
         format_code=u16(_FORMAT_CODE_POS),
     )
     if header.format_code not in SUPPORTED_FORMAT_CODES:
-        raise UnsupportedFormatCode(
+        raise DataError(
             f"format code {header.format_code}; supported: {SUPPORTED_FORMAT_CODES}"
         )
     ns = header.samples_per_trace
     if ns <= 0:
-        raise InconsistentTraceLength("samples per trace must be positive")
+        raise DataError("samples per trace must be positive")
     stride = TRACE_HEADER_LEN + 4 * ns
     region_len = len(data) - TEXTUAL_HEADER_LEN - BINARY_HEADER_LEN
     if region_len % stride != 0:
-        raise InconsistentTraceLength(
+        raise DataError(
             f"trace region of {region_len} bytes is not a multiple of "
             f"{stride} (240 + 4*{ns})"
         )

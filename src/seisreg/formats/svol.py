@@ -28,10 +28,6 @@ HEADER_LEN = 64
 HEADER = struct.Struct("<8sIIII dd")
 
 
-class BadVolumeFile(DataError):
-    pass
-
-
 class SvolReader(Grid):
     """An open `.svol`: its geometry at once, any flat voxel range on demand.
 
@@ -42,22 +38,22 @@ class SvolReader(Grid):
         self._fh = fh
         head = fh.read(HEADER_LEN)
         if len(head) < HEADER_LEN:
-            raise BadVolumeFile("shorter than the 64-byte header")
+            raise DataError("shorter than the 64-byte header")
         magic, n_il, n_xl, ns, name_len, t0_ms, dt_ms = HEADER.unpack_from(head)
         if magic != MAGIC:
-            raise BadVolumeFile(f"bad magic {magic!r}")
+            raise DataError(f"bad magic {magic!r}")
         if 0 in (n_il, n_xl, ns):
-            raise BadVolumeFile(f"empty volume {n_il}x{n_xl}x{ns}")
+            raise DataError(f"empty volume {n_il}x{n_xl}x{ns}")
         self.shape = (n_il, n_xl, ns)
         self._mask_at = HEADER_LEN + name_len + 4 * (n_il + n_xl)
         self._data_at = self._mask_at + self.n_voxels
         expected = self._data_at + 8 * self.n_voxels
         if size != expected:
-            raise BadVolumeFile(f"file is {size} bytes, expected {expected}")
+            raise DataError(f"file is {size} bytes, expected {expected}")
         try:
             self.attribute_name = fh.read(name_len).decode("utf-8")
         except UnicodeDecodeError:
-            raise BadVolumeFile("attribute name is not valid UTF-8") from None
+            raise DataError("attribute name is not valid UTF-8") from None
         self.t0_ms, self.dt_ms = t0_ms, dt_ms
         self.inlines = np.empty(n_il, dtype="<i4")
         self.xlines = np.empty(n_xl, dtype="<i4")
@@ -68,7 +64,7 @@ class SvolReader(Grid):
         self._fh.seek(offset)
         view = memoryview(array.view(np.uint8)).cast("B")
         if self._fh.readinto(view) != len(view):
-            raise BadVolumeFile("file ended inside its data")
+            raise DataError("file ended inside its data")
 
     def read(self, start: int, stop: int):
         """The samples and mask of flat voxels [start, stop), newly read."""
@@ -157,7 +153,7 @@ def _open(path) -> SvolReader:
         status = os.fstat(fh.fileno())
         # the length check needs the size up front, which a pipe lacks
         if not stat.S_ISREG(status.st_mode):
-            raise BadVolumeFile(f"{path} is not a regular file")
+            raise DataError(f"{path} is not a regular file")
         return SvolReader(fh, status.st_size)
     except BaseException:
         fh.close()

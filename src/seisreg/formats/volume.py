@@ -19,10 +19,6 @@ ATTRIBUTE_LONG_NAMES = {"imp": "impedance", "amp": "amplitude",
 CHECK_ROWS = 1 << 16
 
 
-class DuplicateTrace(DataError):
-    pass
-
-
 class Grid:
     """Geometry and voxel addressing shared by an in-memory SeismicVolume
     and an open `.svol` file.
@@ -153,8 +149,8 @@ def volume_from_traces(raw) -> SeismicVolume:
     _, first = np.unique(cells, return_index=True)
     if len(first) < len(cells):
         k = np.setdiff1d(np.arange(len(cells)), first)[0]
-        raise DuplicateTrace(f"duplicate trace at inline {raw.inlines[k]}, "
-                             f"xline {raw.xlines[k]}")
+        raise DataError(f"duplicate trace at inline {raw.inlines[k]}, "
+                        f"xline {raw.xlines[k]}")
     ns = raw.binary_header.samples_per_trace
     data = np.zeros((len(inlines), len(xlines), ns))
     mask = np.zeros(data.shape, dtype=bool)

@@ -17,10 +17,6 @@ from .metrics import spectral_entropy  # noqa: F401  only for perfbench/spans.py
 from .resample import TimeSeries
 
 
-class BandTooNarrow(DataError):
-    pass
-
-
 @dataclass
 class FtRegParams:
     zeta_max_hz: float
@@ -50,7 +46,7 @@ def regularize_ft(target: TimeSeries, params: FtRegParams):
     bin_hz = target.fs_hz / n
     keep = np.abs(freqs) <= params.zeta_max_hz + 1e-9 * bin_hz
     if keep.sum() < 3:
-        raise BandTooNarrow(
+        raise DataError(
             f"only {int(keep.sum())} bin(s) inside {params.zeta_max_hz} Hz; need >= 3"
         )
     values = np.fft.ifft(np.where(keep, np.fft.fft(target.values), 0.0))

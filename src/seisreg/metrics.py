@@ -16,26 +16,6 @@ from .errors import ConfigError, DataError
 from .resample import TimeSeries
 
 
-class TooShort(DataError):
-    pass
-
-
-class ZeroPower(DataError):
-    pass
-
-
-class LengthMismatch(DataError):
-    pass
-
-
-class DegenerateMarginal(DataError):
-    pass
-
-
-class ConstantActual(DataError):
-    pass
-
-
 @dataclass
 class Psd:
     freqs_hz: np.ndarray
@@ -51,7 +31,7 @@ def psd(series: TimeSeries) -> Psd:
     x = series.values
     n = len(x)
     if n < 4:
-        raise TooShort(f"need at least 4 samples, got {n}")
+        raise DataError(f"need at least 4 samples, got {n}")
     fs = series.fs_hz
     spectrum = np.fft.rfft(x - x.mean())
     power = np.abs(spectrum) ** 2 / (n * fs)
@@ -68,7 +48,7 @@ def spectral_entropy(p: Psd) -> float:
     """Shannon entropy in bits of the PSD normalized to a probability vector."""
     total = p.power.sum()
     if total <= 0:
-        raise ZeroPower("PSD has no power; entropy undefined")
+        raise DataError("PSD has no power; entropy undefined")
     return _entropy_bits(p.power / total)
 
 
@@ -90,7 +70,7 @@ def _binned_entropies(x, y, bins: int):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(x) != len(y):
-        raise LengthMismatch(f"series lengths differ: {len(x)} vs {len(y)}")
+        raise DataError(f"series lengths differ: {len(x)} vs {len(y)}")
     if bins < 2:
         raise ConfigError("need at least 2 bins")
     joint, _, _ = np.histogram2d(x, y, bins=bins)
@@ -106,7 +86,7 @@ def nmi(x, y, bins: int) -> float:
     hx, hy, hxy = _binned_entropies(x, y, bins)
     h_min = min(hx, hy)
     if h_min <= 0:
-        raise DegenerateMarginal("a marginal has zero entropy; NMI undefined")
+        raise DataError("a marginal has zero entropy; NMI undefined")
     return (hx + hy - hxy) / h_min
 
 
@@ -121,15 +101,15 @@ def evaluate(predicted, actual) -> dict:
     predicted = np.asarray(predicted, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
     if len(predicted) != len(actual):
-        raise LengthMismatch(f"series lengths differ: {len(predicted)} vs {len(actual)}")
+        raise DataError(f"series lengths differ: {len(predicted)} vs {len(actual)}")
     if len(actual) < 2:
-        raise TooShort("need at least 2 samples")
+        raise DataError("need at least 2 samples")
     err = predicted - actual
     rmse = float(np.sqrt(np.mean(err ** 2)))
     aem = float(np.mean(np.abs(err)))
     std_a = actual.std()
     if std_a == 0:
-        raise ConstantActual("actual series is constant; CC undefined")
+        raise DataError("actual series is constant; CC undefined")
     std_p = predicted.std()
     if std_p == 0:
         cc = math.nan

@@ -31,10 +31,6 @@ from .formats.volume import ATTRIBUTE_LONG_NAMES
 from .resample import MinMaxStats, ZscoreStats
 
 
-class DimensionMismatch(ConfigError):
-    pass
-
-
 class DivergedNonFinite(DivergenceError):
     def __init__(self, message, history=None):
         super().__init__(message)
@@ -98,9 +94,7 @@ def init_model(n_in: int, n_hidden: int, seed: int) -> MlpModel:
 def forward_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     if inputs.shape[1] != model.n_in:
-        raise DimensionMismatch(
-            f"input width {inputs.shape[1]} != n_in {model.n_in}"
-        )
+        raise ConfigError(f"input width {inputs.shape[1]} != n_in {model.n_in}")
     hidden = inputs @ model.w_hidden[:, :-1].T
     hidden += model.w_hidden[:, -1]
     np.tanh(hidden, out=hidden)
@@ -114,9 +108,7 @@ def _patterns(model: MlpModel, inputs, targets):
     if len(targets) == 0:
         raise ConfigError("empty pattern set")
     if inputs.shape[1] != model.n_in:
-        raise DimensionMismatch(
-            f"input width {inputs.shape[1]} != n_in {model.n_in}"
-        )
+        raise ConfigError(f"input width {inputs.shape[1]} != n_in {model.n_in}")
     return inputs, targets
 
 

@@ -30,17 +30,13 @@ PREDICTOR = list(ATTRIBUTE_LONG_NAMES).index("amp")
 PATTERN_HEADER = ",".join(["well", "time_ms", *ATTRIBUTE_LONG_NAMES, "sf"])
 
 
-class SpanTooLarge(ConfigError):
-    pass
-
-
 def moving_average_baseline(series: TimeSeries, span: int = 9) -> TimeSeries:
     """Centered moving mean; edge windows shrink to the valid part."""
     if span % 2 == 0 or span < 1:
         raise ConfigError(f"span must be odd and >= 1, got {span}")
     n = len(series)
     if span > n:
-        raise SpanTooLarge(f"span {span} exceeds series length {n}")
+        raise ConfigError(f"span {span} exceeds series length {n}")
     half = span // 2
     padded = np.concatenate([np.zeros(1), np.cumsum(series.values)])
     lo = np.maximum(np.arange(n) - half, 0)
@@ -222,8 +218,9 @@ class RunConfig:
         if self.predict and not self.outdir:
             raise ConfigError("predict = true needs outdir, where the "
                               "predicted volumes are written")
+        # a range answers `in` without building its members
         levels = range(1, self.wd_levels + 1)
-        if not set(self.truncate_details or ()) <= set(levels):
+        if not all(d in levels for d in self.truncate_details or ()):
             raise ConfigError(f"truncate {self.truncate_details} outside "
                               f"1..{self.wd_levels}")
         # the engines' own validators, so a bad value exits 2 before any

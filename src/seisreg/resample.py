@@ -14,30 +14,6 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 
-class DepthOutOfRange(DataError):
-    pass
-
-
-class TargetOutsideSpan(DataError):
-    pass
-
-
-class DownsampleRequested(ConfigError):
-    pass
-
-
-class ZeroVariance(DataError):
-    pass
-
-
-class DegenerateRange(DataError):
-    pass
-
-
-class TooFewPatterns(DataError):
-    pass
-
-
 @dataclass
 class TimeSeries:
     """Uniformly sampled series: value k sits at t0_ms + k*dt_ms."""
@@ -88,7 +64,7 @@ class VelocityProfile:
         depth_m = np.asarray(depth_m, dtype=np.float64)
         lo, hi = self._depths[0], self._depths[-1]
         if depth_m.min() < lo or depth_m.max() > hi:
-            raise DepthOutOfRange(
+            raise DataError(
                 f"depths [{depth_m.min()}, {depth_m.max()}] outside profile [{lo}, {hi}]"
             )
         return np.interp(depth_m, self._depths, self._times)
@@ -139,6 +115,19 @@ def depth_to_time(depths_m, values, vp: VelocityProfile, dt_out_ms: float) -> Ti
 SINC_ROWS = 1 << 8
 
 
+def block_edges(n: int, rows: int) -> list:
+    """Edges of the blocks n rows are taken in, `rows` (a multiple of 4)
+    at a time.
+
+    Every block but the last holds a multiple of 4 rows, and a lone last
+    row (numpy's dot, not the gemv) joins the block before it: OpenBLAS
+    then rounds each row as one single-threaded gemv over all rows does.
+    One gemv over thousands of rows is split across threads at a row that
+    need not be a multiple of 4, which rounds that row otherwise.
+    """
+    return [*range(0, max(n - 1, 1), rows), n]
+
+
 def sinc_resample(trace: TimeSeries, target_t0_ms: float, target_dt_ms: float,
                   n_out: int) -> TimeSeries:
     """Whittaker-Shannon reconstruction of a band-limited trace on a finer grid.
@@ -163,14 +152,14 @@ def sinc_resample(trace: TimeSeries, target_t0_ms: float, target_dt_ms: float,
     of one gemv over all rows on one BLAS thread.
     """
     if target_dt_ms > trace.dt_ms:
-        raise DownsampleRequested(
+        raise ConfigError(
             f"target dt {target_dt_ms} ms coarser than source {trace.dt_ms} ms"
         )
     t_src = trace.times_ms
     t_out = target_t0_ms + target_dt_ms * np.arange(n_out)
     eps = 1e-9 * trace.dt_ms
     if t_out[0] < t_src[0] - eps or t_out[-1] > t_src[-1] + eps:
-        raise TargetOutsideSpan(
+        raise DataError(
             f"target [{t_out[0]}, {t_out[-1]}] ms outside source "
             f"[{t_src[0]}, {t_src[-1]}] ms"
         )
@@ -189,12 +178,7 @@ def sinc_resample(trace: TimeSeries, target_t0_ms: float, target_dt_ms: float,
     sums = np.empty((len(alternating), len(a)))
     n = np.arange(len(trace), dtype=np.float64)
     block = np.empty((min(SINC_ROWS + 1, len(a)), len(trace)))
-    # Every block but the last holds a multiple of 4 rows, and a lone last
-    # row (numpy's dot, not the gemv) joins the block before it: OpenBLAS
-    # then rounds each row as one single-threaded gemv over all rows does.
-    # One gemv over thousands of rows is split across threads at a row
-    # that need not be a multiple of 4, which rounds that row otherwise.
-    edges = [*range(0, max(len(a) - 1, 1), SINC_ROWS), len(a)]
+    edges = block_edges(len(a), SINC_ROWS)
     for start, stop in zip(edges, edges[1:]):
         reciprocals = block[:stop - start]
         np.subtract.outer(a[start:stop], n, out=reciprocals)
@@ -235,7 +219,7 @@ def zscore(table):
     std = table.std(axis=0)  # ddof=0
     bad = np.nonzero(std == 0)[0]
     if bad.size:
-        raise ZeroVariance(f"constant column(s) at index {bad.tolist()}")
+        raise DataError(f"constant column(s) at index {bad.tolist()}")
     stats = ZscoreStats(mean=table.mean(axis=0), std=std)
     return stats.apply(table), stats
 
@@ -276,7 +260,7 @@ def minmax_to_band(series):
     series = np.asarray(series, dtype=np.float64)
     mn, mx = float(series.min()), float(series.max())
     if mx <= mn:
-        raise DegenerateRange(f"series range is degenerate: min == max == {mn}")
+        raise DataError(f"series range is degenerate: min == max == {mn}")
     stats = MinMaxStats(data_min=mn, data_max=mx)
     return stats.apply(series), stats
 
@@ -296,7 +280,7 @@ def split_patterns(sizes: dict, seed: int):
     start = 0
     for well, n in sizes.items():
         if n < 10:
-            raise TooFewPatterns(f"well {well!r} has only {n} patterns")
+            raise DataError(f"well {well!r} has only {n} patterns")
         perm = start + rng.permutation(n)
         n_train = int(round(0.7 * n))
         train.append(perm[:n_train])

@@ -22,17 +22,13 @@ from .errors import ConfigError, DataError
 from .formats.svol import create_svol
 from .formats.volume import ATTRIBUTE_LONG_NAMES, Grid, SeismicVolume
 from .mlp import ModelBundle
+from .resample import block_edges
 
 # Voxels per block of the sweep, and window cells per slab of the filter.
-# A power of two: every sweep block but the last then holds a multiple of 4
-# rows, and OpenBLAS rounds the output layer's gemv exactly as it does in
-# one call over the whole volume (blocks of 6 or 7 rows, or whole inlines,
-# change the last bit).
+# A power of two, so the sweep's `block_edges` give the bits of one call
+# over the whole volume (blocks of 6 or 7 rows, or whole inlines, change
+# the last bit).
 BLOCK_ROWS = 1 << 16
-
-
-class GeometryMismatch(DataError):
-    pass
 
 
 def _output(out, grid: Grid, attribute_name: str):
@@ -58,7 +54,7 @@ def predict_volume(bundle: ModelBundle, attrs: list, out=None):
     with `out` a path, writes it there block by block and returns None.
     """
     if len(attrs) != bundle.model.n_in:
-        raise GeometryMismatch(
+        raise DataError(
             f"model expects {bundle.model.n_in} attribute volumes, got {len(attrs)}"
         )
     for position, (vol, expected) in enumerate(zip(attrs, bundle.attribute_names)):
@@ -72,11 +68,8 @@ def predict_volume(bundle: ModelBundle, attrs: list, out=None):
     first = attrs[0]
     for other in attrs[1:]:
         if not first.same_geometry(other):
-            raise GeometryMismatch("attribute volumes do not share geometry")
-    n = first.n_voxels
-    # a lone last row would go through numpy's dot, not the gemv of every
-    # other row, so the last block takes it on
-    edges = [*range(0, max(n - 1, 1), BLOCK_ROWS), n]
+            raise DataError("attribute volumes do not share geometry")
+    edges = block_edges(first.n_voxels, BLOCK_ROWS)
     with _output(out, first, "sand_fraction") as sink:
         for start, stop in zip(edges, edges[1:]):
             blocks = [vol.read(start, stop) for vol in attrs]

@@ -24,10 +24,6 @@ from .metrics import psd, spectral_entropy  # noqa: F401  only for perfbench/spa
 from .resample import TimeSeries
 
 
-class TooManyLevels(ConfigError):
-    pass
-
-
 _SQRT2 = math.sqrt(2.0)
 
 # Minimum-phase scaling (lowpass decomposition) filters.  haar/db2 are the
@@ -128,7 +124,7 @@ def _dwt_level(x: np.ndarray, spec: WaveletSpec):
     L = spec.length
     n = len(x)
     if n < L:
-        raise TooManyLevels(
+        raise ConfigError(
             f"level input of {n} samples is shorter than the {L}-tap filter"
         )
     # L - 1 samples of half-point symmetry: ... x1 x0 | x0 ... xn-1 | xn-1 ...

@@ -564,7 +564,6 @@ class TestEndToEnd:
 
     def test_emd_dump(self, workdir, patterns):
         out = workdir / "emd"
-        os.makedirs(out, exist_ok=True)
         assert run("emd-dump", patterns, "--out", out) == 0
         path = out / "emd_A.csv"
         header = path.read_text().splitlines()[0].split(",")

@@ -6,7 +6,6 @@ from scipy.interpolate import CubicSpline
 
 from seisreg import emdreg
 from seisreg.emdreg import (
-    P1OutOfRange,
     SiftParams,
     TooFewExtrema,
     _natural_spline,
@@ -229,12 +228,12 @@ class TestRegularizeEmd:
     def test_p1_equal_to_count_rejected(self):
         ts = tone(cycles=8.0)
         d = emd(ts)
-        with pytest.raises(P1OutOfRange):
+        with pytest.raises(ConfigError, match=f"p1={len(d)} outside 1..{len(d) - 1}"):
             regularize_emd(ts, d, p1=len(d))
 
     def test_monotone_input_rejected(self):
         ts = TimeSeries(0.0, 1.0, np.linspace(0.0, 1.0, 64))
-        with pytest.raises(P1OutOfRange):
+        with pytest.raises(ConfigError, match="input has no IMFs"):
             regularize_emd(ts, emd(ts), p1=1)
 
     def test_entropy_drops_on_noisy_fixture(self):

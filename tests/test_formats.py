@@ -7,14 +7,7 @@ import numpy as np
 import pytest
 
 from seisreg.formats import (
-    DuplicateTrace,
-    InconsistentTraceLength,
-    MissingSection,
-    RaggedRow,
     TraceLayout,
-    TruncatedFile,
-    UnsupportedFormatCode,
-    VersionUnsupported,
     decode_svol,
     encode_svol,
     ibm_to_ieee_array,
@@ -25,9 +18,7 @@ from seisreg.formats import (
     write_las,
 )
 from seisreg.errors import DataError
-from seisreg.formats.las import LasParseError
 from seisreg.formats.svol import (
-    BadVolumeFile,
     SvolWriter,
     create_svol,
     open_svol,
@@ -126,11 +117,11 @@ class TestSegy:
         np.testing.assert_allclose(vol_ibm.data, vol_ieee.data, rtol=2e-6, atol=1e-12)
 
     def test_truncated_file(self):
-        with pytest.raises(TruncatedFile):
+        with pytest.raises(DataError, match="shorter than the 3600-byte header region"):
             parse_segy(b"\x00" * 100)
 
     def test_unsupported_format_code(self):
-        with pytest.raises(UnsupportedFormatCode):
+        with pytest.raises(DataError, match="format code 3; supported"):
             parse_segy(make_segy([(1, 1, [0.0] * 4)], fmt=3))
 
     def test_inconsistent_trace_length(self):
@@ -138,7 +129,7 @@ class TestSegy:
         short = np.asarray([0.0, 1.0, 2.0], dtype=">f4").tobytes()
         data = make_segy([(1, 1, [0.0] * 4)], samples_per_trace=4,
                          payload_override=short)
-        with pytest.raises(InconsistentTraceLength):
+        with pytest.raises(DataError, match="is not a multiple of"):
             parse_segy(data)
 
     def test_configurable_header_offsets(self):
@@ -165,7 +156,7 @@ class TestVolumeFromTraces:
 
     def test_duplicate_trace(self):
         raw = parse_segy(make_segy([(1, 1, [1.0, 2.0]), (1, 1, [3.0, 4.0])]))
-        with pytest.raises(DuplicateTrace):
+        with pytest.raises(DataError, match="duplicate trace at inline"):
             volume_from_traces(raw)
 
     def test_no_traces(self):
@@ -190,7 +181,7 @@ class TestVolumeFromTraces:
         # traces A, B, B, A: B repeats first in file order
         a, b = (3, 8, [1.0, 2.0]), (1, 9, [3.0, 4.0])
         raw = parse_segy(make_segy([a, b, b, a], fmt=fmt))
-        with pytest.raises(DuplicateTrace, match="inline 1, xline 9$"):
+        with pytest.raises(DataError, match="inline 1, xline 9$"):
             volume_from_traces(raw)
 
     @pytest.mark.parametrize("fmt", [5, 1])
@@ -203,7 +194,7 @@ class TestVolumeFromTraces:
             at = int(rng.integers(0, len(traces) + 1))
             traces.insert(at, (il, xl, (rng.integers(-64, 64, 5) / 64).tolist()))
         il, xl = reference_volume(traces)
-        with pytest.raises(DuplicateTrace, match=f"inline {il}, xline {xl}$"):
+        with pytest.raises(DataError, match=f"inline {il}, xline {xl}$"):
             volume_from_traces(parse_segy(make_segy(traces, fmt=fmt)))
 
 
@@ -264,27 +255,27 @@ class TestLas:
 
     def test_ragged_row(self):
         text = MINIMAL_LAS.replace("1000.5 0.5", "1000.5")
-        with pytest.raises(RaggedRow):
+        with pytest.raises(DataError, match="row has 1 values, expected 2"):
             parse_las(text)
 
     def test_missing_section(self):
         text = MINIMAL_LAS.replace("~ASCII", "~Other")
-        with pytest.raises(MissingSection):
+        with pytest.raises(DataError, match="no ~A section"):
             parse_las(text)
 
     def test_version_unsupported(self):
         text = MINIMAL_LAS.replace("VERS.   2.0", "VERS.   3.0")
-        with pytest.raises(VersionUnsupported):
+        with pytest.raises(DataError, match="need LAS 2.0, got VERS='3.0'"):
             parse_las(text)
 
     def test_null_in_depth_rejected(self):
         text = MINIMAL_LAS.replace("1000.5 0.5", "-999.25 0.5")
-        with pytest.raises(LasParseError):
+        with pytest.raises(DataError, match="NULL sentinel in the depth column"):
             parse_las(text)
 
     def test_non_monotone_depth_rejected(self):
         text = MINIMAL_LAS.replace("1000.5 0.5", "1001.0 0.5")
-        with pytest.raises(LasParseError):
+        with pytest.raises(DataError, match="not strictly monotone"):
             parse_las(text)
 
     def test_write_parse_roundtrip(self):
@@ -383,16 +374,18 @@ class TestSvol:
     def test_truncated_file_is_bad_volume(self, tmp_path, cut):
         blob = encode_svol(self._volume())
         assert len(blob) == 357
-        with pytest.raises(BadVolumeFile):
+        message = ("shorter than the 64-byte header" if cut < 64
+                   else f"file is {cut} bytes, expected 357")
+        with pytest.raises(DataError, match=message):
             decode_svol(blob[:cut])
         path = tmp_path / "cut.svol"
         path.write_bytes(blob[:cut])
-        with pytest.raises(BadVolumeFile):
+        with pytest.raises(DataError, match=message):
             read_svol(path)
 
     def test_non_regular_file_is_bad_volume(self):
         # its size cannot be checked before the arrays are allocated
-        with pytest.raises(BadVolumeFile, match="not a regular file"):
+        with pytest.raises(DataError, match="not a regular file"):
             read_svol(os.devnull)
 
     @pytest.mark.parametrize("dims", [(4096, 4096, 64), (2 ** 32 - 1,) * 3])
@@ -402,7 +395,7 @@ class TestSvol:
         path.write_bytes(header.ljust(64, b"\x00") + b"\x00" * 1000)
 
         def attempt():
-            with pytest.raises(BadVolumeFile, match="expected"):
+            with pytest.raises(DataError, match="expected"):
                 read_svol(path)
 
         assert traced_peak(attempt) < 1 << 20

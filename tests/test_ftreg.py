@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from seisreg.errors import ConfigError
+from seisreg.errors import ConfigError, DataError
 from seisreg.ftreg import (
-    BandTooNarrow,
     FtRegParams,
     default_zeta_max,
     regularize_ft,
@@ -128,7 +127,7 @@ class TestRegularizeFt:
 
     def test_band_too_narrow(self):
         ts = TimeSeries(0.0, 1.0, np.sin(np.arange(64.0)))
-        with pytest.raises(BandTooNarrow):
+        with pytest.raises(DataError, match=r"bin\(s\) inside 1e-06 Hz; need >= 3"):
             regularize_ft(ts, FtRegParams(1e-6))
 
     def test_zeta_above_nyquist_rejected(self):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from seisreg import mlp
 from seisreg.errors import ConfigError
 from seisreg.mlp import (
-    DimensionMismatch,
     DivergedNonFinite,
     MlpModel,
     ModelBundle,
@@ -86,7 +85,7 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         model = init_model(3, 5, seed=5)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError, match="input width 2 != n_in 3"):
             forward_batch(model, [1.0, 2.0])
 
 

@@ -13,12 +13,10 @@ from seisreg import cli, pipeline, resample, synthbench
 from seisreg.errors import ConfigError, DataError
 from seisreg.formats.svol import read_svol
 from seisreg.formats.volume import ATTRIBUTE_LONG_NAMES
-from seisreg.ftreg import BandTooNarrow
 from seisreg.pipeline import (
     METHODS,
     PARAMS,
     RunConfig,
-    SpanTooLarge,
     WellConfig,
     WellData,
     moving_average_baseline,
@@ -51,7 +49,7 @@ class TestMovingAverage:
         assert out.values[-1] == pytest.approx(np.mean([9, 10, 11]))
 
     def test_span_too_large(self):
-        with pytest.raises(SpanTooLarge):
+        with pytest.raises(ConfigError, match="span 7 exceeds series length 5"):
             moving_average_baseline(TimeSeries(0.0, 1.0, np.zeros(5)), span=7)
 
     def test_even_span_rejected(self):
@@ -489,7 +487,7 @@ class TestWorkflow:
         assert report.final["tightening_stopped"].startswith("attempt 1: ")
         assert "need >= 3" in report.final["tightening_stopped"]
         # a first attempt the engine rejects still fails the run
-        with pytest.raises(BandTooNarrow):
+        with pytest.raises(DataError, match=r"bin\(s\) inside 4.0 Hz; need >= 3"):
             run_workflow(parse_config(bench_config_text,
                                       {**settings, "zeta_max_hz": "4"}))
 

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from seisreg import volpost
-from seisreg.errors import ConfigError
+from seisreg.errors import ConfigError, DataError
 from seisreg.formats.svol import open_svol, read_svol, write_svol
 from seisreg.formats.volume import SeismicVolume
 from seisreg.mlp import ModelBundle, forward_batch, init_model
 from seisreg.resample import MinMaxStats, ZscoreStats
 from seisreg.volpost import (
-    GeometryMismatch,
     heatmap_csv,
     median_filter_3d,
     predict_volume,
@@ -88,7 +87,7 @@ class TestPredictVolume:
     def test_geometry_mismatch(self):
         attrs = self._attrs()
         attrs[1] = make_volume(np.zeros((1, 1, 4)), t0=2.0, name="amp")
-        with pytest.raises(GeometryMismatch):
+        with pytest.raises(DataError, match="do not share geometry"):
             predict_volume(make_bundle(), attrs)
 
     def test_mask_propagates(self):
