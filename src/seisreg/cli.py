@@ -123,11 +123,11 @@ def _cmd_regularize(args):
 
 
 def _cmd_emd_dump(args):
+    params = emdreg.SiftParams(sd_threshold=args.sd)
     wells = pipeline.read_patterns_csv(args.patterns)
     os.makedirs(args.out, exist_ok=True)
     for w in wells:
-        decomposition = emdreg.emd(w.series(w.sf),
-                                   emdreg.SiftParams(sd_threshold=args.sd))
+        decomposition = emdreg.emd(w.series(w.sf), params)
         path = os.path.join(args.out, f"emd_{w.well_id}.csv")
         names = [f"imf_{i + 1}" for i in range(len(decomposition))]
         with open(path, "w") as fh:
@@ -172,7 +172,6 @@ def _cmd_predict(args):
 
 
 def _cmd_filter(args):
-    # whole in memory, so --out may name the input file
     vol = read_svol(args.infile)
     volpost.median_filter_3d(vol, args.window, args.out)
     print(f"wrote {args.out}")

@@ -6,7 +6,8 @@ maxima and minima until the candidate is an IMF: the Cauchy-type SD
 criterion is below threshold and the extrema/zero-crossing counts differ by
 at most one.  Envelope ends are handled by mirroring the two nearest
 extrema across each boundary, which is the dominant failure mode when left
-unhandled.
+unhandled.  Each candidate's extrema are found once and serve both its
+envelopes and its IMF test.
 
 The envelopes are natural cubic splines built in numpy around one LAPACK
 tridiagonal solve (`dgtsv`): the same arithmetic as
@@ -24,10 +25,6 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .metrics import psd, spectral_entropy  # noqa: F401  only for perfbench/spans.py
 from .resample import TimeSeries
-
-
-class TooFewExtrema(DataError):
-    pass
 
 
 # sifting caps: envelope subtractions per IMF, and IMFs per decomposition
@@ -173,38 +170,30 @@ def _mirrored_spline(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     return _natural_spline(xs, ys, n)
 
 
-def envelope_mean(x: np.ndarray) -> np.ndarray:
+def envelope_mean(x: np.ndarray, maxima: np.ndarray,
+                  minima: np.ndarray) -> np.ndarray:
     """Mean of the upper and lower cubic-spline envelopes of a sample array,
-    on its own grid."""
-    maxima, minima = find_extrema(x)
-    if len(maxima) < 2 or len(minima) < 2:
-        raise TooFewExtrema(
-            f"need >= 2 maxima and >= 2 minima, found {len(maxima)}/{len(minima)}"
-        )
+    on its own grid, through its `find_extrema` (at least two of each)."""
     e_max = _mirrored_spline(maxima, x[maxima], len(x))
     e_min = _mirrored_spline(minima, x[minima], len(x))
     return (e_max + e_min) / 2.0
-
-
-def _is_imf(x: np.ndarray) -> bool:
-    maxima, minima = find_extrema(x)
-    return abs((len(maxima) + len(minima)) - zero_crossings(x)) <= 1
 
 
 def _sift_one(residue: np.ndarray, params: SiftParams):
     """Extract one IMF from the running residue, or None when the residue
     cannot support envelopes (normal termination)."""
     h = residue
+    maxima, minima = find_extrema(h)
     for iteration in range(MAX_SIFT_ITERS):
-        try:
-            m = envelope_mean(h)
-        except TooFewExtrema:
+        if len(maxima) < 2 or len(minima) < 2:
             return None if iteration == 0 else h
-        h_new = h - m
+        m = envelope_mean(h, maxima, minima)
         denom = float(np.dot(h, h))
         sd = float(np.dot(m, m)) / denom if denom > 0 else 0.0
-        h = h_new
-        if sd < params.sd_threshold and _is_imf(h):
+        h = h - m
+        maxima, minima = find_extrema(h)
+        if (sd < params.sd_threshold
+                and abs(len(maxima) + len(minima) - zero_crossings(h)) <= 1):
             break
     return h
 
@@ -218,9 +207,6 @@ def emd(series: TimeSeries, params: SiftParams | None = None) -> ImfSet:
     residue = series.values.copy()
     imfs = []
     while len(imfs) < MAX_IMFS:
-        maxima, minima = find_extrema(residue)
-        if len(maxima) + len(minima) < 2:
-            break
         imf = _sift_one(residue, params)
         if imf is None:
             break

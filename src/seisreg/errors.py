@@ -3,8 +3,8 @@
 Code raises the three bases directly, and the CLI maps them onto exit codes
 (config error -> 2, data error -> 3, numeric divergence -> 4).  A subclass
 exists only where code catches it by type or it carries data, and it lives
-next to the code that raises it: `emdreg.TooFewExtrema` and
-`mlp.DivergedNonFinite`.
+next to the code that raises it.  The one such subclass is
+`mlp.DivergedNonFinite`, which carries the training history.
 """
 
 

@@ -22,6 +22,11 @@ from .formats.volume import ATTRIBUTE_LONG_NAMES, SeismicVolume
 from .resample import VelocityProfile
 
 
+# taps of the band-noise filter; its mode="same" convolution returns at
+# least this many samples, so a trace must be no shorter
+NOISE_TAPS = 61
+
+
 @dataclass
 class SynthFieldParams:
     seed: int
@@ -55,8 +60,14 @@ class SynthFieldParams:
                      "mean_thickness_samples"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.dt_ms <= 0 or self.fine_dt_ms <= 0 or self.noise_level < 0:
+        if self.n_samples < NOISE_TAPS:
+            raise ConfigError(f"n_samples must be >= {NOISE_TAPS}, the "
+                              "band-noise filter length")
+        if (self.dt_ms <= 0 or self.fine_dt_ms <= 0
+                or not 0 <= self.noise_level < math.inf):
             raise ConfigError("bad grid or noise parameters")
+        if not 0 < self.wavelet_center_freq_hz < math.inf:
+            raise ConfigError("wavelet_center_freq_hz must be positive and finite")
 
 
 @dataclass
@@ -202,7 +213,8 @@ def generate_field(params: SynthFieldParams) -> SynthField:
     amp_vol = amp_helper[start:start + ns * ratio:ratio].transpose(1, 2, 0)
     white = rng.standard_normal(amp_vol.shape)
     wavelet_taps = ricker(
-        params.dt_ms * np.arange(-30, 31), params.wavelet_center_freq_hz
+        params.dt_ms * np.arange(-(NOISE_TAPS // 2), NOISE_TAPS // 2 + 1),
+        params.wavelet_center_freq_hz
     )
     wavelet_taps = wavelet_taps / np.linalg.norm(wavelet_taps)
     band_noise = np.apply_along_axis(

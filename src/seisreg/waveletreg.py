@@ -10,8 +10,8 @@ idwt(dwt(x)) returns x to floating precision for every supported wavelet
 and length.
 
 Daubechies coefficients are embedded from the published minimum-phase
-tables and cross-checked against the quadrature-mirror and orthonormality
-identities at import time.
+tables; tests/test_waveletreg.py::TestFilterTables checks them against the
+sum, orthonormality and quadrature-mirror identities.
 """
 
 import math
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .metrics import psd, spectral_entropy  # noqa: F401  only for perfbench/spans.py
 from .resample import TimeSeries
 
@@ -84,33 +84,10 @@ class WaveletSpec:
         h = np.asarray(_DEC_LO[name], dtype=np.float64)
         return cls(name=name, dec_lo=h, dec_hi=_qmf(h))
 
-    def validate(self):
-        h, g = self.dec_lo, self.dec_hi
-        L = len(h)
-        if abs(h.sum() - _SQRT2) > 1e-12:
-            raise DataError(f"{self.name}: lowpass does not sum to sqrt(2)")
-        for m in range(L // 2):
-            want = 1.0 if m == 0 else 0.0
-            got = float(np.dot(h[: L - 2 * m], h[2 * m:]))
-            if abs(got - want) > 1e-10:
-                raise DataError(f"{self.name}: orthonormality fails at shift {2 * m}")
-        expect_g = _qmf(h)
-        if not np.allclose(g, expect_g, atol=1e-14):
-            raise DataError(f"{self.name}: quadrature-mirror relation violated")
-
 
 def _qmf(h: np.ndarray) -> np.ndarray:
     L = len(h)
     return np.array([(-1.0) ** k * h[L - 1 - k] for k in range(L)])
-
-
-def available_wavelets():
-    return sorted(_DEC_LO)
-
-
-# Cross-check the embedded tables once at import.
-for _name in _DEC_LO:
-    WaveletSpec.named(_name).validate()
 
 
 @dataclass

@@ -71,6 +71,22 @@ class TestExitCodes:
     def test_negative_synth_seed_is_2(self, workdir):
         assert run("synth", "--seed", -1, "--out", workdir / "neg") == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--samples", 4), ("--samples", 16), ("--samples", 60),
+        ("--noise", "nan"), ("--noise", "inf"),
+        ("--wavelet-freq", "nan"), ("--wavelet-freq", 0),
+        ("--wavelet-freq", "inf"),
+    ])
+    def test_bad_synth_flag_is_2(self, workdir, flag, value):
+        out = workdir / f"synth{flag}{value}"
+        assert run("synth", "--seed", 7, flag, value, "--out", out) == 2
+        assert not out.exists()
+
+    def test_bad_emd_dump_sd_is_2(self, workdir, patterns):
+        out = workdir / "emd_bad_sd"
+        assert run("emd-dump", patterns, "--sd", 5, "--out", out) == 2
+        assert not out.exists()
+
     def test_negative_run_seed_is_2(self, workdir, bench):
         cfg = workdir / "neg_seed.cfg"
         cfg.write_text(synthbench.config_text(bench))

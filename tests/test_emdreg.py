@@ -7,7 +7,6 @@ from scipy.interpolate import CubicSpline
 from seisreg import emdreg
 from seisreg.emdreg import (
     SiftParams,
-    TooFewExtrema,
     _natural_spline,
     emd,
     envelope_mean,
@@ -129,21 +128,15 @@ class TestNaturalSpline:
 class TestEnvelopeMean:
     def test_sinusoid_mean_near_zero(self):
         x = tone(cycles=6.0).values
-        m = envelope_mean(x)
+        m = envelope_mean(x, *find_extrema(x))
         mid = slice(len(x) // 4, 3 * len(x) // 4)
         assert np.abs(m[mid]).max() < 0.02  # 2% of unit amplitude
 
     def test_offset_passes_to_mean(self):
         x = tone(cycles=6.0).values
-        m = envelope_mean(x + 1.7)
+        m = envelope_mean(x + 1.7, *find_extrema(x + 1.7))
         mid = slice(len(x) // 4, 3 * len(x) // 4)
         assert np.abs(m[mid] - 1.7).max() < 0.02
-
-    def test_too_few_extrema(self):
-        # two maxima, one minimum
-        x = np.array([0.0, 1.0, 0.5, 0.0, 0.5, 1.0, 0.0])
-        with pytest.raises(TooFewExtrema):
-            envelope_mean(x)
 
 
 class TestEmd:
@@ -152,6 +145,37 @@ class TestEmd:
         d = emd(ts)
         assert len(d) == 0
         np.testing.assert_array_equal(d.residue.values, ts.values)
+
+    def test_too_few_extrema_terminates_empty(self):
+        # two maxima and one minimum cannot support a lower envelope
+        values = np.concatenate([np.linspace(0.0, 1.0, 5),
+                                 np.linspace(0.8, 0.0, 5),
+                                 np.linspace(0.2, 1.0, 5),
+                                 np.linspace(0.9, 0.0, 5)])
+        maxima, minima = find_extrema(values)
+        assert (len(maxima), len(minima)) == (2, 1)
+        ts = TimeSeries(0.0, 1.0, values)
+        d = emd(ts)
+        assert len(d) == 0
+        np.testing.assert_array_equal(d.residue.values, ts.values)
+
+    def test_extrema_found_once_per_candidate(self, monkeypatch):
+        calls = {"find_extrema": 0, "envelope_mean": 0}
+
+        def counted(name):
+            fn = getattr(emdreg, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(emdreg, name, wrapper)
+
+        counted("find_extrema")
+        counted("envelope_mean")
+        rng = np.random.default_rng(36)
+        d = emd(TimeSeries(0.0, 1.0, rng.standard_normal(512)))
+        assert len(d) >= 1
+        assert calls["find_extrema"] <= calls["envelope_mean"] + len(d) + 1
 
     def test_single_tone(self):
         ts = tone(cycles=8.0)
