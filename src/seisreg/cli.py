@@ -17,7 +17,7 @@ from .errors import ConfigError, DataError, DivergenceError
 from .formats.las import parse_las
 from .formats.segy import TraceLayout, parse_segy
 from .formats.svol import open_svol, read_svol, write_svol
-from .formats.volume import ATTRIBUTE_LONG_NAMES, volume_from_traces
+from .formats.volume import ATTRIBUTE_LONG_NAMES
 
 
 def _cmd_convert(args):
@@ -25,9 +25,8 @@ def _cmd_convert(args):
         raise ConfigError("convert needs exactly one of --segy or --las")
     if args.segy:
         with open(args.segy, "rb") as fh:
-            raw = parse_segy(fh.read(),
+            vol = parse_segy(fh.read(),
                              TraceLayout(args.inline_byte, args.xline_byte))
-        vol = volume_from_traces(raw)
         vol.attribute_name = args.attribute
         write_svol(args.out, vol)
         print(f"wrote {args.out}: {len(vol.inlines)}x{len(vol.xlines)}x"
@@ -74,6 +73,7 @@ def _well_configs(args):
 
 
 def _cmd_prep(args):
+    pipeline.RunConfig(dt_ms=args.dt)       # checks --dt before any input is read
     with contextlib.ExitStack() as stack:
         volumes = {name: stack.enter_context(open_svol(getattr(args, name)))
                    for name in ATTRIBUTE_LONG_NAMES}
@@ -343,6 +343,9 @@ def main(argv=None) -> int:
         return 4
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -1,5 +1,5 @@
 """SEG-Y rev 1 reader: big-endian binary headers, IBM (code 1) and IEEE
-(code 5) trace samples.
+(code 5) trace samples, read straight into a masked SeismicVolume.
 
 Trace-header byte positions for inline/xline default to 189 and 193
 (1-based), the rev-1 convention, but vendors disagree so they are
@@ -14,6 +14,7 @@ import numpy as np
 
 from ..errors import ConfigError, DataError
 from .ibmfloat import ibm_to_ieee_array
+from .volume import SeismicVolume
 
 TEXTUAL_HEADER_LEN = 3200
 BINARY_HEADER_LEN = 400
@@ -31,24 +32,6 @@ SUPPORTED_FORMAT_CODES = (1, 5)
 
 
 @dataclass
-class SegyBinaryHeader:
-    sample_interval_us: int
-    samples_per_trace: int
-    format_code: int
-
-
-@dataclass
-class SegyVolumeRaw:
-    """The traces of a file in file order: trace k sits at inline
-    `inlines[k]`, xline `xlines[k]` and holds `samples[k]`."""
-
-    binary_header: SegyBinaryHeader
-    inlines: np.ndarray      # int32 [n_traces]
-    xlines: np.ndarray       # int32 [n_traces]
-    samples: np.ndarray      # float64 [n_traces, samples_per_trace]
-
-
-@dataclass
 class TraceLayout:
     """1-based byte offsets of the inline/xline int32 fields in the trace header."""
 
@@ -63,29 +46,27 @@ class TraceLayout:
                                   f"got {getattr(self, name)}")
 
 
-def parse_segy(data: bytes, layout: TraceLayout | None = None) -> SegyVolumeRaw:
-    """Parse SEG-Y bytes into the binary header plus decoded traces."""
+def parse_segy(data: bytes, layout: TraceLayout | None = None) -> SeismicVolume:
+    """Parse SEG-Y bytes into a dense SeismicVolume over the Cartesian
+    closure of the observed inlines x xlines.  Traces absent from the file
+    are masked out, not zero-filled as data.  A cell read twice is an
+    error, named at its earliest second occurrence in file order.
+    """
     layout = layout or TraceLayout()
     if len(data) < TEXTUAL_HEADER_LEN + BINARY_HEADER_LEN:
         raise DataError(
             f"file is {len(data)} bytes, shorter than the 3600-byte header region"
         )
-    binary = data[TEXTUAL_HEADER_LEN:TEXTUAL_HEADER_LEN + BINARY_HEADER_LEN]
 
-    def u16(pos_1based):
-        off = pos_1based - 1
-        return struct.unpack(">H", binary[off:off + 2])[0]
+    def u16(pos_1based):    # within the binary header
+        return struct.unpack_from(">H", data, TEXTUAL_HEADER_LEN + pos_1based - 1)[0]
 
-    header = SegyBinaryHeader(
-        sample_interval_us=u16(_SAMPLE_INTERVAL_POS),
-        samples_per_trace=u16(_SAMPLES_PER_TRACE_POS),
-        format_code=u16(_FORMAT_CODE_POS),
-    )
-    if header.format_code not in SUPPORTED_FORMAT_CODES:
+    format_code = u16(_FORMAT_CODE_POS)
+    if format_code not in SUPPORTED_FORMAT_CODES:
         raise DataError(
-            f"format code {header.format_code}; supported: {SUPPORTED_FORMAT_CODES}"
+            f"format code {format_code}; supported: {SUPPORTED_FORMAT_CODES}"
         )
-    ns = header.samples_per_trace
+    ns = u16(_SAMPLES_PER_TRACE_POS)
     if ns <= 0:
         raise DataError("samples per trace must be positive")
     stride = TRACE_HEADER_LEN + 4 * ns
@@ -104,12 +85,30 @@ def parse_segy(data: bytes, layout: TraceLayout | None = None) -> SegyVolumeRaw:
         field = traces[:, pos_1based - 1:pos_1based + 3]
         return np.ascontiguousarray(field).view(">i4")[:, 0].astype(np.int32)
 
+    trace_inlines = header_int32(layout.inline_byte_offset)
+    trace_xlines = header_int32(layout.xline_byte_offset)
+    if not len(trace_inlines):
+        raise DataError("no traces")
+    inlines, i = np.unique(trace_inlines, return_inverse=True)
+    xlines, j = np.unique(trace_xlines, return_inverse=True)
+    cells = i * len(xlines) + j
+    _, first = np.unique(cells, return_index=True)
+    if len(first) < len(cells):
+        k = np.setdiff1d(np.arange(len(cells)), first)[0]
+        raise DataError(f"duplicate trace at inline {trace_inlines[k]}, "
+                        f"xline {trace_xlines[k]}")
+    # IEEE samples stay a view of the file bytes, widened exactly by the
+    # scatter below; IBM ones are decoded before the grid exists, so the
+    # decoder's temporaries are gone by then
     payload = traces[:, TRACE_HEADER_LEN:]
-    if header.format_code == 5:
-        samples = payload.view(">f4").astype(np.float64)
+    if format_code == 5:
+        samples = payload.view(">f4")
     else:
         samples = ibm_to_ieee_array(payload.view(">u4"))
-    return SegyVolumeRaw(binary_header=header,
-                         inlines=header_int32(layout.inline_byte_offset),
-                         xlines=header_int32(layout.xline_byte_offset),
-                         samples=samples)
+    grid = np.zeros((len(inlines), len(xlines), ns))
+    mask = np.zeros(grid.shape, dtype=bool)
+    grid.reshape(-1, ns)[cells] = samples
+    mask.reshape(-1, ns)[cells] = True
+    return SeismicVolume(inlines=inlines, xlines=xlines, t0_ms=0.0,
+                         dt_ms=u16(_SAMPLE_INTERVAL_POS) / 1000.0,
+                         data=grid, mask=mask)

@@ -1,5 +1,5 @@
-"""Dense seismic volume container, the geometry it shares with open `.svol`
-files, and assembly from parsed traces."""
+"""Dense seismic volume container and the geometry it shares with open
+`.svol` files."""
 
 import math
 from dataclasses import dataclass, field
@@ -134,33 +134,3 @@ class SeismicVolume(Grid):
         self.data.reshape(-1)[start:stop] = data
         self.mask.reshape(-1)[start:stop] = mask
 
-
-def volume_from_traces(raw) -> SeismicVolume:
-    """Assemble a dense SeismicVolume over the Cartesian closure of the
-    observed inlines x xlines.  Traces absent from the file are masked out,
-    not zero-filled as data.  A cell read twice is an error, named at its
-    earliest second occurrence in file order.
-    """
-    if not len(raw.inlines):
-        raise DataError("no traces")
-    inlines, i = np.unique(raw.inlines, return_inverse=True)
-    xlines, j = np.unique(raw.xlines, return_inverse=True)
-    cells = i * len(xlines) + j
-    _, first = np.unique(cells, return_index=True)
-    if len(first) < len(cells):
-        k = np.setdiff1d(np.arange(len(cells)), first)[0]
-        raise DataError(f"duplicate trace at inline {raw.inlines[k]}, "
-                        f"xline {raw.xlines[k]}")
-    ns = raw.binary_header.samples_per_trace
-    data = np.zeros((len(inlines), len(xlines), ns))
-    mask = np.zeros(data.shape, dtype=bool)
-    data.reshape(-1, ns)[cells] = raw.samples
-    mask.reshape(-1, ns)[cells] = True
-    return SeismicVolume(
-        inlines=inlines,
-        xlines=xlines,
-        t0_ms=0.0,
-        dt_ms=raw.binary_header.sample_interval_us / 1000.0,
-        data=data,
-        mask=mask,
-    )

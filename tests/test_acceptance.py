@@ -19,7 +19,6 @@ from seisreg.errors import DataError
 from seisreg.formats import (
     parse_las,
     parse_segy,
-    volume_from_traces,
     write_las,
 )
 from seisreg.formats.volume import SeismicVolume
@@ -218,8 +217,8 @@ class TestCriterion9ParserFidelity:
         from test_formats import MINIMAL_LAS, make_segy
         rng = np.random.default_rng(9)
         samples = rng.uniform(-500.0, 500.0, 32).tolist()
-        ieee = volume_from_traces(parse_segy(make_segy([(1, 1, samples)], fmt=5)))
-        ibm = volume_from_traces(parse_segy(make_segy([(1, 1, samples)], fmt=1)))
+        ieee = parse_segy(make_segy([(1, 1, samples)], fmt=5))
+        ibm = parse_segy(make_segy([(1, 1, samples)], fmt=1))
         rel = np.abs(ibm.data - ieee.data) / np.abs(ieee.data)
         assert rel.max() < 1e-6
 
@@ -232,8 +231,7 @@ class TestCriterion9ParserFidelity:
             parse_segy(make_segy([(1, 1, [0.0] * 4)], samples_per_trace=4,
                                  payload_override=bad))
         with pytest.raises(DataError, match="duplicate trace at inline 1, xline 1"):
-            volume_from_traces(parse_segy(make_segy([(1, 1, [0.0, 1.0]),
-                                                     (1, 1, [2.0, 3.0])])))
+            parse_segy(make_segy([(1, 1, [0.0, 1.0]), (1, 1, [2.0, 3.0])]))
         with pytest.raises(DataError, match="row has 1 values, expected 2"):
             parse_las(MINIMAL_LAS.replace("1000.5 0.5", "1000.5"))
         with pytest.raises(DataError, match="no ~C section"):

@@ -116,11 +116,25 @@ class TestExitCodes:
             "--set", "predict=true", "--set", f"outdir={missing / 'out'}"]
         assert run("run", "--config", cfg, *predict, "--set", setting) == 2
 
-    def test_nan_prep_dt_is_2(self, workdir, bench):
+    @pytest.mark.parametrize("dt", ["nan", "inf", "0", "-1"])
+    def test_bad_prep_dt_is_2(self, workdir, bench, capsys, dt):
+        out = workdir / f"dt_{dt}.csv"
         assert run("prep", "--imp", bench / "imp.svol", "--amp", bench / "amp.svol",
                    "--freq", bench / "freq.svol",
                    "--well", f"A:{bench}/well_A.las:{bench}/vel_A.csv",
-                   "--dt", "nan", "--out", workdir / "nan.csv") == 2
+                   "--dt", dt, "--out", out) == 2
+        assert "config error: dt_ms must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_memory_is_3(self, patterns, capsys, monkeypatch):
+        # a stand-in for numpy refusing a huge array; a real one of that
+        # size could succeed under overcommit and then touch its pages
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 71.1 PiB for an array")
+        monkeypatch.setattr(cli.metrics, "nmi", refuse)
+        assert run("metrics", patterns, "--bins", 100000000) == 3
+        assert capsys.readouterr().err == (
+            "out of memory: Unable to allocate 71.1 PiB for an array\n")
 
     @pytest.mark.parametrize("name, text", [
         ("short_row.csv", "A,0.0,1.0,2.0,3.0"),

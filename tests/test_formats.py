@@ -14,7 +14,6 @@ from seisreg.formats import (
     ieee_to_ibm,
     parse_las,
     parse_segy,
-    volume_from_traces,
     write_las,
 )
 from seisreg.errors import DataError
@@ -98,23 +97,38 @@ class TestIbmFloat:
 
 class TestSegy:
     def test_fixture_roundtrip(self):
-        raw = parse_segy(make_segy([(1, 1, [0.0, 1.0, -1.0, 0.5])]))
-        assert raw.binary_header.format_code == 5
-        assert raw.binary_header.sample_interval_us == 2000
-        np.testing.assert_array_equal(raw.samples, [[0.0, 1.0, -1.0, 0.5]])
+        vol = parse_segy(make_segy([(1, 1, [0.0, 1.0, -1.0, 0.5])]))
+        assert vol.dt_ms == 2.0
+        np.testing.assert_array_equal(vol.data, [[[0.0, 1.0, -1.0, 0.5]]])
 
     def test_ibm_encoding_matches_ieee(self):
         samples = [0.0, 1.0, -1.0, 0.5]
         ieee = parse_segy(make_segy([(1, 1, samples)], fmt=5))
         ibm = parse_segy(make_segy([(1, 1, samples)], fmt=1))
-        np.testing.assert_allclose(ibm.samples, ieee.samples, rtol=1e-6, atol=0)
+        np.testing.assert_allclose(ibm.data, ieee.data, rtol=1e-6, atol=0)
 
     def test_dual_encoding_volumes_agree(self):
         rng = np.random.default_rng(5)
         samples = rng.uniform(-100.0, 100.0, 16).tolist()
-        vol_ieee = volume_from_traces(parse_segy(make_segy([(1, 1, samples)], fmt=5)))
-        vol_ibm = volume_from_traces(parse_segy(make_segy([(1, 1, samples)], fmt=1)))
+        vol_ieee = parse_segy(make_segy([(1, 1, samples)], fmt=5))
+        vol_ibm = parse_segy(make_segy([(1, 1, samples)], fmt=1))
         np.testing.assert_allclose(vol_ibm.data, vol_ieee.data, rtol=2e-6, atol=1e-12)
+
+    def test_ieee_parse_peak_memory(self):
+        # the 4-byte samples are widened straight into the grid, with no
+        # float64 copy of the traces on the way: 8 + 1 B/voxel for the
+        # grid and mask, plus the scatter's buffers
+        rng = np.random.default_rng(3)
+        shape = (32, 32, 64)
+        data = make_segy([(il, xl, rng.uniform(-1.0, 1.0, shape[2]))
+                          for il in range(shape[0]) for xl in range(shape[1])])
+        tracemalloc.start()
+        try:
+            parse_segy(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / np.prod(shape) < 15
 
     def test_truncated_file(self):
         with pytest.raises(DataError, match="shorter than the 3600-byte header region"):
@@ -134,41 +148,41 @@ class TestSegy:
 
     def test_configurable_header_offsets(self):
         data = make_segy([(7, 9, [1.0, 2.0])])
-        raw = parse_segy(data, TraceLayout(inline_byte_offset=189,
+        vol = parse_segy(data, TraceLayout(inline_byte_offset=189,
                                            xline_byte_offset=193))
-        assert (raw.inlines.tolist(), raw.xlines.tolist()) == ([7], [9])
+        assert (vol.inlines.tolist(), vol.xlines.tolist()) == ([7], [9])
 
 
 class TestVolumeFromTraces:
+    """parse_segy's assembly of the masked volume from the file's traces."""
+
     def test_simple_grid(self):
-        raw = parse_segy(make_segy([(1, 1, [1.0, 2.0]), (1, 2, [3.0, 4.0])]))
-        vol = volume_from_traces(raw)
+        vol = parse_segy(make_segy([(1, 1, [1.0, 2.0]), (1, 2, [3.0, 4.0])]))
         assert vol.data.shape == (1, 2, 2)
         assert vol.mask.all()
         assert vol.dt_ms == 2.0
 
     def test_cartesian_closure_marks_missing(self):
-        raw = parse_segy(make_segy([(1, 1, [1.0, 2.0]), (2, 2, [3.0, 4.0])]))
-        vol = volume_from_traces(raw)
+        vol = parse_segy(make_segy([(1, 1, [1.0, 2.0]), (2, 2, [3.0, 4.0])]))
         assert vol.data.shape == (2, 2, 2)
         assert vol.mask[0, 0].all() and vol.mask[1, 1].all()
         assert not vol.mask[0, 1].any() and not vol.mask[1, 0].any()
 
     def test_duplicate_trace(self):
-        raw = parse_segy(make_segy([(1, 1, [1.0, 2.0]), (1, 1, [3.0, 4.0])]))
+        data = make_segy([(1, 1, [1.0, 2.0]), (1, 1, [3.0, 4.0])])
         with pytest.raises(DataError, match="duplicate trace at inline"):
-            volume_from_traces(raw)
+            parse_segy(data)
 
     def test_no_traces(self):
-        raw = parse_segy(make_segy([(1, 1, [1.0, 2.0])])[:3600])
+        data = make_segy([(1, 1, [1.0, 2.0])])[:3600]
         with pytest.raises(DataError, match="no traces"):
-            volume_from_traces(raw)
+            parse_segy(data)
 
     @pytest.mark.parametrize("fmt", [5, 1])
     @pytest.mark.parametrize("seed", range(4))
     def test_shuffled_gappy_matches_reference(self, fmt, seed):
         traces = shuffled_grid(seed)
-        vol = volume_from_traces(parse_segy(make_segy(traces, fmt=fmt)))
+        vol = parse_segy(make_segy(traces, fmt=fmt))
         inlines, xlines, data, mask = reference_volume(traces)
         assert vol.inlines.tolist() == inlines
         assert vol.xlines.tolist() == xlines
@@ -180,9 +194,8 @@ class TestVolumeFromTraces:
     def test_duplicate_named_at_earliest_second_occurrence(self, fmt):
         # traces A, B, B, A: B repeats first in file order
         a, b = (3, 8, [1.0, 2.0]), (1, 9, [3.0, 4.0])
-        raw = parse_segy(make_segy([a, b, b, a], fmt=fmt))
         with pytest.raises(DataError, match="inline 1, xline 9$"):
-            volume_from_traces(raw)
+            parse_segy(make_segy([a, b, b, a], fmt=fmt))
 
     @pytest.mark.parametrize("fmt", [5, 1])
     @pytest.mark.parametrize("seed", range(4))
@@ -195,7 +208,7 @@ class TestVolumeFromTraces:
             traces.insert(at, (il, xl, (rng.integers(-64, 64, 5) / 64).tolist()))
         il, xl = reference_volume(traces)
         with pytest.raises(DataError, match=f"inline {il}, xline {xl}$"):
-            volume_from_traces(parse_segy(make_segy(traces, fmt=fmt)))
+            parse_segy(make_segy(traces, fmt=fmt))
 
 
 def shuffled_grid(seed):

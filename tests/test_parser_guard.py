@@ -19,7 +19,6 @@ from seisreg.formats import (
     encode_svol,
     parse_las,
     parse_segy,
-    volume_from_traces,
 )
 from seisreg.formats.volume import SeismicVolume
 from seisreg.pipeline import parse_config
@@ -80,7 +79,7 @@ def _damage(blob, positions, edits, cut):
 def test_segy_parses_or_is_a_data_error(fmt, edits, cut):
     data = bytes(_damage(SEGY[fmt], SEGY_READ_BYTES, edits, cut))
     try:
-        volume_from_traces(parse_segy(data))
+        parse_segy(data)
     except DataError:
         pass
 
