@@ -24,9 +24,9 @@ def _cmd_convert(args):
     if bool(args.segy) == bool(args.las):
         raise ConfigError("convert needs exactly one of --segy or --las")
     if args.segy:
+        layout = TraceLayout(args.inline_byte, args.xline_byte)
         with open(args.segy, "rb") as fh:
-            vol = parse_segy(fh.read(),
-                             TraceLayout(args.inline_byte, args.xline_byte))
+            vol = parse_segy(fh.read(), layout)
         vol.attribute_name = args.attribute
         write_svol(args.out, vol)
         print(f"wrote {args.out}: {len(vol.inlines)}x{len(vol.xlines)}x"
@@ -34,11 +34,12 @@ def _cmd_convert(args):
         return
     with open(args.las) as fh:
         log = parse_las(fh.read())
+    # %.17g writes only a NaN as "nan"; a NaN cell is written empty
+    row = ",".join(["%.17g"] * len(log.curves)) + "\n"
+    body = row * len(log.rows) % tuple(log.rows.ravel().tolist())
     with open(args.out, "w") as fh:
         fh.write(",".join(log.curve_names) + "\n")
-        for row in log.rows:
-            fh.write(",".join("" if np.isnan(v) else f"{v:.17g}" for v in row)
-                     + "\n")
+        fh.write(body.replace("nan", ""))
     print(f"wrote {args.out}: {log.rows.shape[0]} rows, "
           f"{len(log.curves)} curves")
 
@@ -74,11 +75,11 @@ def _well_configs(args):
 
 def _cmd_prep(args):
     pipeline.RunConfig(dt_ms=args.dt)       # checks --dt before any input is read
+    configs = _well_configs(args)
     with contextlib.ExitStack() as stack:
         volumes = {name: stack.enter_context(open_svol(getattr(args, name)))
                    for name in ATTRIBUTE_LONG_NAMES}
-        wells = [pipeline.prepare_well(wc, volumes, args.dt)
-                 for wc in _well_configs(args)]
+        wells = [pipeline.prepare_well(wc, volumes, args.dt) for wc in configs]
     pipeline.write_patterns_csv(args.out, wells)
     total = sum(len(w.sf) for w in wells)
     print(f"wrote {args.out}: {total} patterns from {len(wells)} wells at "
@@ -86,6 +87,7 @@ def _cmd_prep(args):
 
 
 def _cmd_metrics(args):
+    pipeline.RunConfig(mi_bins=args.bins)   # checks --bins before the file is read
     wells = pipeline.read_patterns_csv(args.patterns)
     sep = "," if args.format == "csv" else "  "
     # built whole, so a failure part way (a bad --bins) prints nothing
@@ -132,18 +134,19 @@ def _cmd_emd_dump(args):
         names = [f"imf_{i + 1}" for i in range(len(decomposition))]
         with open(path, "w") as fh:
             fh.write("time_ms," + ",".join(names + ["residue"]) + "\n")
-            cols = [imf.values for imf in decomposition.imfs]
-            cols.append(decomposition.residue.values)
-            for k, t in enumerate(w.times_ms):
-                fh.write(f"{t:.17g}," + ",".join(f"{c[k]:.17g}" for c in cols) + "\n")
+            table = np.column_stack([w.times_ms]
+                                    + [imf.values for imf in decomposition.imfs]
+                                    + [decomposition.residue.values])
+            row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+            fh.write(row * len(table) % tuple(table.ravel().tolist()))
         print(f"wrote {path}: {len(decomposition)} IMFs + residue")
 
 
 def _cmd_train(args):
-    wells = pipeline.read_patterns_csv(args.patterns)
     config = pipeline.RunConfig(hidden=args.hidden, max_iters=args.max_iters,
                                 train_seed=args.seed, split_seed=args.split_seed,
                                 target_loss=args.target_loss)
+    wells = pipeline.read_patterns_csv(args.patterns)
     inputs, input_stats, targets, target_stats = pipeline.pool_patterns(wells)
     bundle, history, (_, test, validation) = pipeline.train_model(
         wells, config, inputs, input_stats, targets, target_stats)
@@ -172,6 +175,7 @@ def _cmd_predict(args):
 
 
 def _cmd_filter(args):
+    pipeline.RunConfig(filter_window=args.window)   # checks --window first
     vol = read_svol(args.infile)
     volpost.median_filter_3d(vol, args.window, args.out)
     print(f"wrote {args.out}")

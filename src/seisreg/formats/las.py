@@ -2,8 +2,12 @@
 
 Reads the ~V/~W/~C/~A sections of unwrapped LAS 2.0 text.  Data rows are
 whitespace-split; cells equal to the NULL sentinel become NaN (the explicit
-missing marker for 1-D logs).  The writer emits full-precision (%.17g)
-values so written logs re-read bit-exactly.
+missing marker for 1-D logs).  The ~A block is parsed by one `np.loadtxt`
+call; when that refuses the block or gives it another shape, the rows are
+parsed one by one with `float()`, which also reads `1_0` and non-ASCII
+digits and names the first bad row.  The writer renders the ~A block with
+one full-precision (%.17g) format string, so written logs re-read
+bit-exactly.
 """
 
 import re
@@ -78,6 +82,30 @@ def _parse_info_line(line: str):
     return mnemonic.strip(), unit.strip(), value.strip(), desc.strip()
 
 
+def _parse_data(lines: list, n_curves: int) -> np.ndarray:
+    """The ~A rows as an [n_rows, n_curves] float64 table."""
+    if lines:       # loadtxt warns on empty input
+        try:
+            table = np.loadtxt(lines, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if table.shape == (len(lines), n_curves):
+                return table
+    rows = []
+    for line in lines:
+        cells = line.split()
+        if len(cells) != n_curves:
+            raise DataError(
+                f"row has {len(cells)} values, expected {n_curves}: {line.strip()!r}"
+            )
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            raise DataError(f"non-numeric cell in ~A row: {line.strip()!r}")
+    return np.array(rows, dtype=np.float64).reshape(len(rows), n_curves)
+
+
 def parse_las(text: str) -> LasLog:
     sections = _split_sections(text)
     for required in ("V", "C", "A"):
@@ -120,19 +148,7 @@ def parse_las(text: str) -> LasLog:
     if not curves:
         raise DataError("~C section defines no curves")
 
-    n_curves = len(curves)
-    rows = []
-    for line in sections["A"]:
-        cells = line.split()
-        if len(cells) != n_curves:
-            raise DataError(
-                f"row has {len(cells)} values, expected {n_curves}: {line.strip()!r}"
-            )
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError:
-            raise DataError(f"non-numeric cell in ~A row: {line.strip()!r}")
-    table = np.array(rows, dtype=np.float64).reshape(len(rows), n_curves)
+    table = _parse_data(sections["A"], len(curves))
     table[table == null_value] = np.nan
 
     depths = table[:, 0]
@@ -163,6 +179,5 @@ def write_las(log: LasLog) -> str:
         lines.append(f" {c.mnemonic}.{c.unit:<8}: {c.description}")
     lines.append("~ASCII")
     out = np.where(np.isnan(log.rows), log.null_value, log.rows)
-    for row in out:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    row = " ".join(["%.17g"] * out.shape[1]) + "\n"
+    return "\n".join(lines) + "\n" + row * len(out) % tuple(out.ravel().tolist())

@@ -30,6 +30,9 @@ DEFAULT_XLINE_BYTE = 193
 
 SUPPORTED_FORMAT_CODES = (1, 5)
 
+# IBM samples decoded per block: the decoder's temporaries take ~40 B each
+_IBM_BLOCK_SAMPLES = 2 ** 16
+
 
 @dataclass
 class TraceLayout:
@@ -97,17 +100,20 @@ def parse_segy(data: bytes, layout: TraceLayout | None = None) -> SeismicVolume:
         k = np.setdiff1d(np.arange(len(cells)), first)[0]
         raise DataError(f"duplicate trace at inline {trace_inlines[k]}, "
                         f"xline {trace_xlines[k]}")
-    # IEEE samples stay a view of the file bytes, widened exactly by the
-    # scatter below; IBM ones are decoded before the grid exists, so the
-    # decoder's temporaries are gone by then
-    payload = traces[:, TRACE_HEADER_LEN:]
-    if format_code == 5:
-        samples = payload.view(">f4")
-    else:
-        samples = ibm_to_ieee_array(payload.view(">u4"))
     grid = np.zeros((len(inlines), len(xlines), ns))
     mask = np.zeros(grid.shape, dtype=bool)
-    grid.reshape(-1, ns)[cells] = samples
+    rows = grid.reshape(-1, ns)
+    # IEEE samples stay a view of the file bytes, widened exactly by the
+    # scatter; IBM ones are decoded a block of traces at a time, so the
+    # decoder's temporaries span one block, not the file
+    payload = traces[:, TRACE_HEADER_LEN:]
+    if format_code == 5:
+        rows[cells] = payload.view(">f4")
+    else:
+        step = max(1, _IBM_BLOCK_SAMPLES // ns)
+        for a in range(0, len(cells), step):
+            rows[cells[a:a + step]] = ibm_to_ieee_array(
+                payload[a:a + step].view(">u4"))
     mask.reshape(-1, ns)[cells] = True
     return SeismicVolume(inlines=inlines, xlines=xlines, t0_ms=0.0,
                          dt_ms=u16(_SAMPLE_INTERVAL_POS) / 1000.0,

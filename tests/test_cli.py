@@ -126,6 +126,29 @@ class TestExitCodes:
         assert "config error: dt_ms must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["prep", "--imp", "imp.svol", "--amp", "amp.svol", "--freq", "freq.svol",
+         "--well", "A:a.las:a.csv", "--well", "A:b.las:b.csv", "--out", "OUT"],
+        ["filter", "--in", "in.svol", "--window", "2", "--out", "OUT"],
+        ["metrics", "p.csv", "--bins", "1"],
+        ["train", "p.csv", "--hidden", "0", "--out", "OUT"],
+        ["train", "p.csv", "--max-iters", "-1", "--out", "OUT"],
+        ["convert", "--segy", "in.sgy", "--inline-byte", "999", "--out", "OUT"],
+        ["convert", "--segy", "in.sgy", "--xline-byte", "0", "--out", "OUT"],
+    ], ids=["prep-well", "filter-window", "metrics-bins", "train-hidden",
+            "train-max-iters", "convert-inline-byte", "convert-xline-byte"])
+    def test_bad_flag_is_2_before_reading_inputs(self, tmp_path, capsys, argv):
+        # no input exists: opening any of them would exit 3 with an io error
+        out = tmp_path / "out"
+        argv = [str(out) if a == "OUT" else a for a in argv]
+        argv = [str(tmp_path / a) if a.endswith((".svol", ".csv", ".sgy")) else a
+                for a in argv]
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_out_of_memory_is_3(self, patterns, capsys, monkeypatch):
         # a stand-in for numpy refusing a huge array; a real one of that
         # size could succeed under overcommit and then touch its pages
@@ -475,6 +498,20 @@ class TestConvert:
         assert lines[0] == "DEPT,SF"
         assert len(lines) == 4
 
+    def test_las_to_csv_matches_per_row_rendering(self, workdir):
+        from test_formats import MINIMAL_LAS_HEADER
+        las = workdir / "cells.las"
+        las.write_text(MINIMAL_LAS_HEADER +
+                       " 999.5 -0\n 1000.0 inf\n 1000.5 -999.25\n"
+                       " 1001.0 -inf\n 1001.5 0.1\n 1002.0 -999.25\n")
+        out = workdir / "cells.csv"
+        assert run("convert", "--las", las, "--out", out) == 0
+        rows = parse_las(las.read_text()).rows
+        assert out.read_text() == "DEPT,SF\n" + "".join(
+            ",".join("" if np.isnan(v) else f"{v:.17g}" for v in row) + "\n"
+            for row in rows)
+        assert out.read_text().count(",\n") == 2
+
     def test_convert_needs_one_input(self, workdir):
         assert run("convert", "--out", workdir / "x.svol") == 2
 
@@ -599,6 +636,16 @@ class TestEndToEnd:
         header = path.read_text().splitlines()[0].split(",")
         assert header[0] == "time_ms" and header[1] == "imf_1"
         assert header[-1] == "residue"
+        # every file, byte for byte, against a row-by-row rendering
+        for w in pipeline.read_patterns_csv(patterns):
+            decomposition = emdreg.emd(w.series(w.sf))
+            cols = [imf.values for imf in decomposition.imfs]
+            cols.append(decomposition.residue.values)
+            names = [f"imf_{i + 1}" for i in range(len(cols) - 1)]
+            want = "time_ms," + ",".join(names + ["residue"]) + "\n" + "".join(
+                f"{t:.17g}," + ",".join(f"{c[k]:.17g}" for c in cols) + "\n"
+                for k, t in enumerate(w.times_ms))
+            assert (out / f"emd_{w.well_id}.csv").read_text() == want
 
     def test_run_and_report(self, workdir, bench, capsys):
         cfg = workdir / "run.cfg"

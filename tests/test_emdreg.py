@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
@@ -123,6 +123,27 @@ class TestNaturalSpline:
         want = CubicSpline(x, y, bc_type="natural")(np.arange(n))
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 60),
+           knots=st.lists(st.one_of(st.integers(-80, 140), st.floats(-80, 140)),
+                          min_size=2, max_size=30))
+    # mirrored extrema 1, 3, 5, 7 on 0..8, integer knots on the grid, and
+    # knots all left of it, all right of it and straddling both ends
+    @example(n=9, knots=[-3, -1, 1, 3, 5, 7, 9, 11])
+    @example(n=10, knots=list(range(10)))
+    @example(n=10, knots=[-7.5, -2.0])
+    @example(n=10, knots=[9.5, 50.0, 60.0])
+    @example(n=10, knots=[-1.5, 100.5])
+    def test_sample_intervals_match_searchsorted(self, n, knots):
+        x = np.unique(np.array(knots, dtype=np.float64))
+        assume(len(x) >= 2)
+        grid = np.arange(n, dtype=np.float64)
+        want = np.clip(np.searchsorted(x, grid, side="right") - 1, 0, len(x) - 2)
+        got = emdreg._sample_intervals(x, grid)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 class TestEnvelopeMean:

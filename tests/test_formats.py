@@ -2,9 +2,12 @@ import io
 import os
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seisreg.formats import (
     TraceLayout,
@@ -17,6 +20,7 @@ from seisreg.formats import (
     write_las,
 )
 from seisreg.errors import DataError
+from seisreg.formats import las, segy
 from seisreg.formats.svol import (
     SvolWriter,
     create_svol,
@@ -130,6 +134,23 @@ class TestSegy:
             tracemalloc.stop()
         assert peak / np.prod(shape) < 15
 
+    def test_ibm_parse_peak_memory(self):
+        # IBM words decode a block of traces at a time straight into the
+        # grid, so the decoder's five full-size temporaries span one block
+        shape = (32, 32, 512)
+        rng = np.random.default_rng(4)
+        traces = np.zeros(shape[0] * shape[1], dtype=[
+            ("head", "V188"), ("inline", ">i4"), ("xline", ">i4"),
+            ("tail", "V44"), ("words", ">u4", shape[2])])
+        traces["inline"], traces["xline"] = np.divmod(np.arange(len(traces)),
+                                                      shape[1])
+        traces["words"] = (rng.integers(0x3C, 0x44, (len(traces), shape[2]),
+                                        dtype=np.uint32) << 24
+                           | rng.integers(0, 1 << 24, (len(traces), shape[2]),
+                                          dtype=np.uint32))
+        data = make_segy([(0, 0, [0.0] * shape[2])], fmt=1)[:3600] + traces.tobytes()
+        assert traced_peak(lambda: parse_segy(data)) / np.prod(shape) < 20
+
     def test_truncated_file(self):
         with pytest.raises(DataError, match="shorter than the 3600-byte header region"):
             parse_segy(b"\x00" * 100)
@@ -189,6 +210,17 @@ class TestVolumeFromTraces:
         np.testing.assert_array_equal(vol.data, data)
         np.testing.assert_array_equal(vol.mask, mask)
         assert (vol.t0_ms, vol.dt_ms) == (0.0, 2.0)
+
+    @pytest.mark.parametrize("block", [1, 7, 12])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ibm_blocks_match_reference(self, monkeypatch, block, seed):
+        # blocks of one trace (1 and 7 samples) and of two (12 samples)
+        monkeypatch.setattr(segy, "_IBM_BLOCK_SAMPLES", block)
+        traces = shuffled_grid(seed)
+        vol = parse_segy(make_segy(traces, fmt=1))
+        _, _, data, mask = reference_volume(traces)
+        np.testing.assert_array_equal(vol.data, data)
+        np.testing.assert_array_equal(vol.mask, mask)
 
     @pytest.mark.parametrize("fmt", [5, 1])
     def test_duplicate_named_at_earliest_second_occurrence(self, fmt):
@@ -251,6 +283,20 @@ MINIMAL_LAS = """~Version
  1000.5 0.5
  1001.0 0.75
 """
+# everything up to and including the ~A line
+MINIMAL_LAS_HEADER = MINIMAL_LAS.split("~ASCII")[0] + "~ASCII\n"
+
+
+# ~A cells: numbers, the NULL sentinel and numbers that float() reads but
+# np.loadtxt does not (1_0, Arabic-Indic digits), three times as often as
+# text that neither reads
+LAS_NUMBERS = st.one_of(
+    st.floats().map(repr), st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.sampled_from(["-999.25", "-0", "inf", "-nan", "1e999", "+.5", "1_0",
+                     "\u0661\u0662"]))
+LAS_CELLS = st.one_of(LAS_NUMBERS, LAS_NUMBERS, LAS_NUMBERS, st.sampled_from(
+    ["#", "#5", "5#", "1,5", "0x10", "1d5", "\x00"]))
+LAS_SEPS = st.sampled_from([" ", "  ", "\t", "\xa0", "\x1f", " \x00"])
 
 
 class TestLas:
@@ -304,6 +350,58 @@ class TestLas:
         log.rows[:, 1] = rng.uniform(0.0, 1.0, 3)
         again = parse_las(write_las(log))
         np.testing.assert_array_equal(log.rows, again.rows)
+
+    def test_write_matches_per_row_rendering(self):
+        log = parse_las(MINIMAL_LAS)
+        log.rows = np.array([[-0.0, np.nan], [0.1, np.inf], [1e300, -np.inf],
+                             [5e-324, -0.0], [2.0 / 3.0, -999.25]])
+        body = "".join(" ".join(f"{v:.17g}" for v in row) + "\n"
+                       for row in np.where(np.isnan(log.rows), -999.25, log.rows))
+        header = write_las(parse_las(MINIMAL_LAS_HEADER))
+        assert write_las(log) == header + body
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(st.one_of(st.lists(LAS_CELLS, min_size=1,
+                                                      max_size=1),
+                                             st.lists(LAS_CELLS, max_size=3)),
+                                   LAS_SEPS),
+                         max_size=6))
+    @example(rows=[])
+    @example(rows=[(["1_0"], " "), (["\u0661\u0662"], "\t")])
+    @example(rows=[(["-999.25"], "\xa0"), (["2", "#"], " "), (["#5"], " ")])
+    @example(rows=[(["2"], "\x1f"), (["3"], "\x00")])
+    def test_bulk_parse_matches_per_row(self, rows):
+        # the depths climb, so most tables get past the depth checks
+        lines = [" " + sep.join([f"{1000 + k}", *cells])
+                 for k, (cells, sep) in enumerate(rows)]
+        text = MINIMAL_LAS_HEADER + "\n".join(lines) + "\n"
+
+        def outcome():
+            try:
+                log = parse_las(text)
+            except DataError as exc:
+                return str(exc)
+            return log.rows.shape, log.rows.tobytes()
+
+        bulk = outcome()
+        with mock.patch.object(las, "_parse_data", per_row_las_data):
+            assert bulk == outcome()
+
+
+def per_row_las_data(lines, n_curves):
+    """The ~A rows one line at a time, as `float()` reads each cell."""
+    rows = []
+    for line in lines:
+        cells = line.split()
+        if len(cells) != n_curves:
+            raise DataError(
+                f"row has {len(cells)} values, expected {n_curves}: {line.strip()!r}"
+            )
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            raise DataError(f"non-numeric cell in ~A row: {line.strip()!r}")
+    return np.array(rows, dtype=np.float64).reshape(len(rows), n_curves)
 
 
 def traced_peak(call):
