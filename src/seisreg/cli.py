@@ -182,8 +182,8 @@ def _cmd_filter(args):
 
 
 def _cmd_slice(args):
-    vol = read_svol(args.infile)
-    csv = volpost.heatmap_csv(vol, args.inline)
+    with open_svol(args.infile) as reader:
+        csv = volpost.heatmap_csv(reader, args.inline)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(csv)

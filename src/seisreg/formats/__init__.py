@@ -4,13 +4,13 @@ internal .svol volume store."""
 from .ibmfloat import ibm_to_ieee_array, ieee_to_ibm
 from .las import LasCurve, LasLog, parse_las, write_las
 from .segy import TraceLayout, parse_segy
-from .svol import decode_svol, encode_svol, read_svol, write_svol
+from .svol import read_svol, write_svol
 from .volume import SeismicVolume
 
 __all__ = [
     "ibm_to_ieee_array", "ieee_to_ibm",
     "LasCurve", "LasLog", "parse_las", "write_las",
     "TraceLayout", "parse_segy",
-    "decode_svol", "encode_svol", "read_svol", "write_svol",
+    "read_svol", "write_svol",
     "SeismicVolume",
 ]

@@ -13,7 +13,6 @@ own buffers.  Whole-volume reads and writes are the one-block case.
 """
 
 import contextlib
-import io
 import os
 import stat
 import struct
@@ -44,6 +43,8 @@ class SvolReader(Grid):
             raise DataError(f"bad magic {magic!r}")
         if 0 in (n_il, n_xl, ns):
             raise DataError(f"empty volume {n_il}x{n_xl}x{ns}")
+        self.t0_ms, self.dt_ms = t0_ms, dt_ms
+        self.check_time_axis()
         self.shape = (n_il, n_xl, ns)
         self._mask_at = HEADER_LEN + name_len + 4 * (n_il + n_xl)
         self._data_at = self._mask_at + self.n_voxels
@@ -54,7 +55,6 @@ class SvolReader(Grid):
             self.attribute_name = fh.read(name_len).decode("utf-8")
         except UnicodeDecodeError:
             raise DataError("attribute name is not valid UTF-8") from None
-        self.t0_ms, self.dt_ms = t0_ms, dt_ms
         self.inlines = np.empty(n_il, dtype="<i4")
         self.xlines = np.empty(n_xl, dtype="<i4")
         self._fill(self.inlines, HEADER_LEN + name_len)
@@ -180,13 +180,3 @@ def read_svol(path) -> SeismicVolume:
 def write_svol(path, vol: SeismicVolume) -> None:
     with create_svol(path, vol, vol.attribute_name) as writer:
         writer.write(0, vol.data, vol.mask)
-
-
-def decode_svol(data: bytes) -> SeismicVolume:
-    return SvolReader(io.BytesIO(data), len(data)).volume()
-
-
-def encode_svol(vol: SeismicVolume) -> bytes:
-    buffer = io.BytesIO()
-    SvolWriter(buffer, vol, vol.attribute_name).write(0, vol.data, vol.mask)
-    return buffer.getvalue()

@@ -67,6 +67,14 @@ class Grid:
             and self.shape == other.shape
         )
 
+    def check_time_axis(self) -> None:
+        """Reject a time axis that does not start at a finite time or does
+        not advance by a finite, positive step."""
+        if not math.isfinite(self.t0_ms):
+            raise DataError(f"t0_ms must be finite, got {self.t0_ms}")
+        if not (math.isfinite(self.dt_ms) and self.dt_ms > 0):
+            raise DataError(f"dt_ms must be finite and positive, got {self.dt_ms}")
+
     def check_samples(self) -> None:
         """Reject a NaN at a valid voxel, reading CHECK_ROWS voxels at a time."""
         n = self.n_voxels
@@ -101,21 +109,11 @@ class SeismicVolume(Grid):
             self.mask = np.ones(self.data.shape, dtype=bool)
         else:
             self.mask = np.ascontiguousarray(self.mask, dtype=bool)
-        if not (np.isfinite(self.dt_ms) and self.dt_ms > 0):
-            raise DataError(f"dt_ms must be finite and positive, got {self.dt_ms}")
+        self.check_time_axis()
         expected = (len(self.inlines), len(self.xlines))
         if self.data.shape[:2] != expected or self.mask.shape != self.data.shape:
             raise DataError("grid dimensions do not match index lists")
         self.check_samples()
-
-    @classmethod
-    def blank(cls, grid: Grid, attribute_name: str) -> "SeismicVolume":
-        """A volume on `grid`'s geometry with every voxel masked, for a stage
-        to `write` into."""
-        return cls(inlines=grid.inlines.copy(), xlines=grid.xlines.copy(),
-                   t0_ms=grid.t0_ms, dt_ms=grid.dt_ms, data=np.zeros(grid.shape),
-                   attribute_name=attribute_name,
-                   mask=np.zeros(grid.shape, dtype=bool))
 
     @property
     def shape(self) -> tuple:
@@ -125,12 +123,3 @@ class SeismicVolume(Grid):
         """Views of the samples and mask of flat voxels [start, stop)."""
         return (self.data.reshape(-1)[start:stop],
                 self.mask.reshape(-1)[start:stop])
-
-    def write(self, start: int, data, mask) -> None:
-        """Store samples and mask (any shape, in C order) at flat voxels
-        from `start` on."""
-        data, mask = np.ravel(data), np.ravel(mask)
-        stop = start + data.size
-        self.data.reshape(-1)[start:stop] = data
-        self.mask.reshape(-1)[start:stop] = mask
-

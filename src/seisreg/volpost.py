@@ -1,19 +1,16 @@
 """Volume-wide prediction sweep and 3-D median post-filtering.
 
 Both operations are per-voxel independent over immutable inputs, so both
-work through the volume in fixed blocks and hand each finished block to
-their output: a new in-memory volume, or a `.svol` file written block by
-block.  Their working memory is set by the block, not by the volume.  The
-sweep also reads its inputs by block, so it runs as well over open `.svol`
-files as over volumes in memory.  The median is taken over the valid
-(unmasked, in-bounds) neighbours including the voxel itself; boundary and
-masked neighbours simply shrink the set.  Even-cardinality sets take the
-lower median so results are deterministic.  A voxel with no valid
-neighbour at all (inside a masked hole wider than the window) is itself
-masked; it stays masked and keeps its input value.
+work through the volume in fixed blocks and write each finished block to
+their output, a `.svol` file.  Their working memory is set by the block,
+not by the volume.  The sweep also reads its inputs by block, so it runs
+as well over open `.svol` files as over volumes in memory.  The median is
+taken over the valid (unmasked, in-bounds) neighbours including the voxel
+itself; boundary and masked neighbours simply shrink the set.
+Even-cardinality sets take the lower median so results are deterministic.
+A voxel with no valid neighbour at all (inside a masked hole wider than
+the window) is itself masked; it stays masked and keeps its input value.
 """
-
-import contextlib
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,15 +28,7 @@ from .resample import block_edges
 BLOCK_ROWS = 1 << 16
 
 
-def _output(out, grid: Grid, attribute_name: str):
-    """Where a stage writes its blocks: a blank in-memory volume when `out`
-    is None, else a `.svol` file at path `out`."""
-    if out is None:
-        return contextlib.nullcontext(SeismicVolume.blank(grid, attribute_name))
-    return create_svol(out, grid, attribute_name)
-
-
-def predict_volume(bundle: ModelBundle, attrs: list, out=None):
+def predict_volume(bundle: ModelBundle, attrs: list, out) -> None:
     """Apply the trained model voxel-wise over aligned attribute volumes.
 
     attrs (in-memory volumes or open `.svol` readers) bind to the model's
@@ -50,8 +39,8 @@ def predict_volume(bundle: ModelBundle, attrs: list, out=None):
     input masks (a voxel with any attribute missing stays missing).
     Both checks run before any output is opened.
     The model runs over blocks of `BLOCK_ROWS` flattened voxels, read from
-    attrs one block at a time.  Returns the prediction as a new volume, or
-    with `out` a path, writes it there block by block and returns None.
+    attrs one block at a time, and each block of the prediction is written
+    to the `.svol` file at path `out`.
     """
     if len(attrs) != bundle.model.n_in:
         raise DataError(
@@ -70,17 +59,16 @@ def predict_volume(bundle: ModelBundle, attrs: list, out=None):
         if not first.same_geometry(other):
             raise DataError("attribute volumes do not share geometry")
     edges = block_edges(first.n_voxels, BLOCK_ROWS)
-    with _output(out, first, "sand_fraction") as sink:
+    with create_svol(out, first, "sand_fraction") as sink:
         for start, stop in zip(edges, edges[1:]):
             blocks = [vol.read(start, stop) for vol in attrs]
             mask = np.logical_and.reduce([m for _, m in blocks])
             predictions = bundle.predict(np.stack([d for d, _ in blocks], axis=1))
             predictions[~mask] = 0.0
             sink.write(start, predictions, mask)
-    return sink if out is None else None
 
 
-def median_filter_3d(vol: SeismicVolume, window=3, out=None):
+def median_filter_3d(vol: SeismicVolume, window: int, out) -> None:
     """Order-statistic smoothing over a window x window x window neighbourhood.
 
     For the full 27-point window this picks the 14th largest value;
@@ -88,9 +76,8 @@ def median_filter_3d(vol: SeismicVolume, window=3, out=None):
     whatever is valid, and a voxel with nothing valid keeps its input value.
     The window cells are sorted one slab of inlines at a time, each slab at
     most `BLOCK_ROWS` window cells (or one inline, if an inline has more);
-    only that slab is ever padded, never the whole volume.  Returns the
-    filtered volume, or with `out` a path, writes it there slab by slab
-    and returns None.
+    only that slab is ever padded, never the whole volume.  Each filtered
+    slab is written to the `.svol` file at path `out`.
     """
     if window < 1 or window % 2 == 0:
         raise ConfigError(f"window must be odd and >= 1, got {window}")
@@ -111,7 +98,7 @@ def median_filter_3d(vol: SeismicVolume, window=3, out=None):
     # values sits at index (k - 1) // 2.  Ties only swap values that
     # compare equal.
     buffer = np.empty((step, n_xlines, n_samples) + edges)
-    with _output(out, vol, vol.attribute_name) as sink:
+    with create_svol(out, vol, vol.attribute_name) as sink:
         for i in range(0, n_inlines, step):
             rows = min(step, n_inlines - i)
             lo, hi = max(i - half, 0), min(i + rows + half, n_inlines)
@@ -137,18 +124,20 @@ def median_filter_3d(vol: SeismicVolume, window=3, out=None):
             smoothed = vol.data[i:i + rows].copy()
             np.copyto(smoothed, picked[..., 0], where=counts > 0)
             sink.write(i * plane, smoothed, vol.mask[i:i + rows])
-    return sink if out is None else None
 
 
-def heatmap_csv(vol: SeismicVolume, inline: int) -> str:
+def heatmap_csv(grid: Grid, inline: int) -> str:
     """Inline section as a CSV heatmap: one row per time sample, one column
-    per crossline (masked voxels empty)."""
-    i = vol.inline_index(inline)
-    lines = ["time_ms," + ",".join(f"xline_{x}" for x in vol.xlines)]
-    for k, t in enumerate(vol.times_ms):
+    per crossline (masked voxels empty).  Reads only that inline."""
+    i = grid.inline_index(inline)
+    section = (len(grid.xlines), grid.n_samples)
+    plane = section[0] * section[1]
+    data, mask = (a.reshape(section) for a in grid.read(i * plane, (i + 1) * plane))
+    lines = ["time_ms," + ",".join(f"xline_{x}" for x in grid.xlines)]
+    for k, t in enumerate(grid.times_ms):
         cells = [
-            f"{vol.data[i, j, k]:.6g}" if vol.mask[i, j, k] else ""
-            for j in range(len(vol.xlines))
+            f"{data[j, k]:.6g}" if mask[j, k] else ""
+            for j in range(len(grid.xlines))
         ]
         lines.append(f"{t:.6g}," + ",".join(cells))
     return "\n".join(lines) + "\n"

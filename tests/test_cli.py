@@ -3,15 +3,17 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from seisreg import cli, emdreg, mlp, pipeline, synthbench
-from seisreg.formats import svol
+from seisreg.errors import DataError
+from seisreg.formats import svol, volume
 from seisreg.formats.segy import TraceLayout
 from seisreg.formats.las import parse_las, write_las
-from seisreg.formats.svol import read_svol, write_svol
+from seisreg.formats.svol import open_svol, read_svol, write_svol
 from seisreg.formats.volume import SeismicVolume
 from seisreg.resample import MinMaxStats, ZscoreStats
 from seisreg.synthbench import SynthFieldParams
@@ -354,6 +356,35 @@ class TestExitCodes:
         assert run(command, "--in", bad, *extra,
                    "--out", workdir / f"unused_{command}.out") == 3
 
+    # (field, its offset in the header, a value no time axis may have)
+    @pytest.mark.parametrize("field, offset, value", [
+        *(("dt_ms", 32, v) for v in (0.0, -2.0, float("nan"), float("inf"))),
+        *(("t0_ms", 24, v) for v in (float("nan"), float("inf"), float("-inf")))])
+    def test_bad_time_axis_is_3_before_any_output(self, tmp_path, bench, field,
+                                                  offset, value, capsys):
+        names = ("imp", "amp", "freq")
+        for name in names:
+            blob = bytearray((bench / f"{name}.svol").read_bytes())
+            struct.pack_into("<d", blob, offset, value)
+            (tmp_path / f"{name}.svol").write_bytes(bytes(blob))
+        message = f"{field} must be finite"
+        for read in (open_svol, read_svol):
+            with pytest.raises(DataError, match=f"^{message}"):
+                read(tmp_path / "imp.svol")
+        volumes = [arg for name in names
+                   for arg in (f"--{name}", tmp_path / f"{name}.svol")]
+        inline = int(read_svol(bench / "imp.svol").inlines[0])
+        capsys.readouterr()
+        assert run("prep", *volumes, "--out", tmp_path / "patterns.csv",
+                   "--well", f"A:{bench}/well_A.las:{bench}/vel_A.csv") == 3
+        assert f"data error: {message}" in capsys.readouterr().err
+        assert run("slice", "--in", tmp_path / "imp.svol", "--inline", inline,
+                   "--out", tmp_path / "slice.csv") == 3
+        assert run("filter", "--in", tmp_path / "imp.svol",
+                   "--out", tmp_path / "med.svol") == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(f"{name}.svol" for name in names)
+
     def test_non_utf8_attribute_name_is_3(self, workdir, bench):
         blob = bytearray((bench / "imp.svol").read_bytes())
         blob[64] = 0xFF     # first byte of the attribute name
@@ -660,6 +691,34 @@ class TestEndToEnd:
         assert out == (outdir / "tables.txt").read_text()
         assert run("report", outdir / "report.json", "--format", "csv") == 0
         assert capsys.readouterr().out == (outdir / "tables.csv").read_text()
+
+
+def test_slice_peak_does_not_grow_with_inlines(tmp_path, monkeypatch, capsys):
+    # slice holds one inline, after a check that reads CHECK_ROWS voxels at
+    # a time; the whole volume would double with the inlines
+    monkeypatch.setattr(volume, "CHECK_ROWS", 1 << 10)
+    rng = np.random.default_rng(3)
+    peaks = []
+    for n_inlines in (16, 32):
+        shape = (n_inlines, 32, 64)
+        path = tmp_path / f"v_{n_inlines}.svol"
+        write_svol(path, SeismicVolume(
+            inlines=np.arange(n_inlines), xlines=np.arange(32), t0_ms=0.0,
+            dt_ms=2.0, data=rng.uniform(0, 1, shape),
+            mask=rng.uniform(0, 1, shape) > 0.1))
+        argv = ("slice", "--in", path, "--inline", 5, "--out", tmp_path / "s.csv")
+        assert run(*argv) == 0      # the first call fills lazy caches
+        tracemalloc.start()
+        try:
+            assert run(*argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 16 more inlines add 288 KiB of samples and mask; the parser and the
+    # CSV text of one inline move the peak by about 16 KiB from call to call
+    assert peaks[1] < peaks[0] + 16 * 32 * 64 * 9 / 4
+    # 32x32x64 voxels: the samples alone are 0.5 MiB
+    assert peaks[1] < 32 * 32 * 64 * 8
 
 
 def _modules_after(code):

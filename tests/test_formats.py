@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from seisreg.formats import (
     TraceLayout,
-    decode_svol,
-    encode_svol,
     ibm_to_ieee_array,
     ieee_to_ibm,
     parse_las,
@@ -22,6 +20,7 @@ from seisreg.formats import (
 from seisreg.errors import DataError
 from seisreg.formats import las, segy
 from seisreg.formats.svol import (
+    SvolReader,
     SvolWriter,
     create_svol,
     open_svol,
@@ -424,25 +423,21 @@ class TestSvol:
         return SeismicVolume(inlines=[10, 20], xlines=[1, 2, 3], t0_ms=100.0,
                              dt_ms=2.0, data=data, attribute_name="imp", mask=mask)
 
-    def test_encode_decode_byte_identical(self):
-        vol = self._volume()
-        blob = encode_svol(vol)
-        assert encode_svol(decode_svol(blob)) == blob
+    def test_write_read_write_byte_identical(self, tmp_path):
+        write_svol(tmp_path / "v.svol", self._volume())
+        write_svol(tmp_path / "again.svol", read_svol(tmp_path / "v.svol"))
+        assert (tmp_path / "again.svol").read_bytes() == \
+            (tmp_path / "v.svol").read_bytes()
 
-    def test_volume_fields_roundtrip(self):
+    def test_volume_fields_roundtrip(self, tmp_path):
         vol = self._volume()
-        again = decode_svol(encode_svol(vol))
+        write_svol(tmp_path / "v.svol", vol)
+        again = read_svol(tmp_path / "v.svol")
         np.testing.assert_array_equal(vol.data, again.data)
         np.testing.assert_array_equal(vol.mask, again.mask)
         np.testing.assert_array_equal(vol.inlines, again.inlines)
         assert (vol.t0_ms, vol.dt_ms, vol.attribute_name) == \
             (again.t0_ms, again.dt_ms, again.attribute_name)
-
-    def test_write_matches_encode(self, tmp_path):
-        vol = self._volume()
-        path = tmp_path / "v.svol"
-        write_svol(path, vol)
-        assert path.read_bytes() == encode_svol(vol)
 
     def test_blocks_read_and_write_their_byte_ranges(self, tmp_path):
         vol = self._volume()
@@ -455,7 +450,7 @@ class TestSvol:
         # blocks written out of order land at their own offsets
         for start, stop in reversed(list(zip(edges, edges[1:]))):
             writer.write(start, flat_data[start:stop], flat_mask[start:stop])
-        assert buffer.getvalue() == encode_svol(vol)
+        assert buffer.getvalue() == path.read_bytes()
         with open_svol(path) as reader:
             assert reader.shape == vol.data.shape
             assert reader.same_geometry(vol)
@@ -483,13 +478,14 @@ class TestSvol:
     # 117-357 (docs/format.md)
     @pytest.mark.parametrize("cut", [0, 40, 65, 70, 80, 100, 200, 356])
     def test_truncated_file_is_bad_volume(self, tmp_path, cut):
-        blob = encode_svol(self._volume())
+        path = tmp_path / "cut.svol"
+        write_svol(path, self._volume())
+        blob = path.read_bytes()
         assert len(blob) == 357
         message = ("shorter than the 64-byte header" if cut < 64
                    else f"file is {cut} bytes, expected 357")
         with pytest.raises(DataError, match=message):
-            decode_svol(blob[:cut])
-        path = tmp_path / "cut.svol"
+            SvolReader(io.BytesIO(blob[:cut]), cut)
         path.write_bytes(blob[:cut])
         with pytest.raises(DataError, match=message):
             read_svol(path)
@@ -511,14 +507,17 @@ class TestSvol:
 
         assert traced_peak(attempt) < 1 << 20
 
-    def test_any_nonzero_mask_byte_is_valid(self):
+    def test_any_nonzero_mask_byte_is_valid(self, tmp_path):
         vol = self._volume()
-        blob = bytearray(encode_svol(vol))
+        path = tmp_path / "v.svol"
+        write_svol(path, vol)
+        blob = bytearray(path.read_bytes())
         mask_at = 64 + 3 + 4 * (2 + 3)
         # [1, 2, 0] is masked out; [0, 0, 0] is valid
         blob[mask_at + (1 * 3 + 2) * 5] = 2
         blob[mask_at] = 255
-        again = decode_svol(bytes(blob))
+        path.write_bytes(blob)
+        again = read_svol(path)
         expected = vol.mask.copy()
         expected[1, 2, 0] = True
         np.testing.assert_array_equal(again.mask, expected)

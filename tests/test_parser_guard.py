@@ -6,6 +6,10 @@ ConfigError (exit 2).
 Each test damages one valid input in a few places, so that most examples
 get past the first check and reach the later ones."""
 
+import io
+import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -14,12 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seisreg.errors import ConfigError, DataError
-from seisreg.formats import (
-    decode_svol,
-    encode_svol,
-    parse_las,
-    parse_segy,
-)
+from seisreg.formats import parse_las, parse_segy, write_svol
+from seisreg.formats.svol import SvolReader
 from seisreg.formats.volume import SeismicVolume
 from seisreg.pipeline import parse_config
 
@@ -33,11 +33,22 @@ SEGY = {fmt: make_segy([(1, 1, [0.5, -1.0, 2.0]), (1, 2, [0.0, 3.0, -4.5]),
 SEGY_READ_BYTES = [3216, 3217, 3220, 3221, 3224, 3225,
                    *(3600 + k * (240 + 12) + i for k in range(3) for i in range(188, 196))]
 
-SVOL = encode_svol(SeismicVolume(
+
+
+def _svol_bytes(vol):
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "v.svol")
+        write_svol(path, vol)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+SVOL = _svol_bytes(SeismicVolume(
     inlines=[10, 20], xlines=[1, 2, 3], t0_ms=100.0, dt_ms=2.0,
     data=np.arange(30.0).reshape(2, 3, 5), attribute_name="imp",
     mask=np.arange(30).reshape(2, 3, 5) % 7 != 0))
-# the 64-byte header, the name "imp" and the 2 + 3 index list entries
+# the 64-byte header, the name "imp" and the 2 + 3 index list entries; t0_ms
+# is header bytes 24-31 and dt_ms bytes 32-39
 SVOL_HEADER_BYTES = range(64 + 3 + 4 * 5)
 
 # characters that carry LAS structure, plus a few that break numbers
@@ -99,12 +110,16 @@ def test_las_parses_or_is_a_data_error(edits, cut):
 @settings(max_examples=150, deadline=None)
 @given(edits=EDITS, cut=CUTS)
 @example(edits=[(64, 0xff)], cut=None)
+@example(edits=[(31, 0x7f), (30, 0xf8)], cut=None)     # t0_ms = NaN
+@example(edits=[(39, 0xc0)], cut=None)                 # dt_ms = -2
 def test_svol_parses_or_is_a_data_error(edits, cut):
     data = bytes(_damage(SVOL, SVOL_HEADER_BYTES, edits, cut))
     try:
-        decode_svol(data)
+        vol = SvolReader(io.BytesIO(data), len(data)).volume()
     except DataError:
-        pass
+        return
+    assert math.isfinite(vol.t0_ms)
+    assert math.isfinite(vol.dt_ms) and vol.dt_ms > 0
 
 
 @settings(max_examples=60, deadline=None)
