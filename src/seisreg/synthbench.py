@@ -26,6 +26,10 @@ from .resample import VelocityProfile
 # least this many samples, so a trace must be no shorter
 NOISE_TAPS = 61
 
+# Helper-grid samples per block of whole inlines in generate_field; any
+# size gives the same bits.
+HELPER_SAMPLES = 1 << 20
+
 
 @dataclass
 class SynthFieldParams:
@@ -154,9 +158,33 @@ class _LayeredSf:
         return np.clip(blocky + self.texture(t_ms), 0.01, 0.99)
 
 
+def _cores() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:    # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def generate_field(params: SynthFieldParams) -> SynthField:
-    # imported here so that only field generation loads scipy.signal and
-    # scipy.ndimage
+    """Build the field from params.seed; the same params give the same bits.
+
+    The impedance and amplitude filters run on a helper grid at a quarter of
+    the volume step.  It is built time-last in blocks of whole inlines, each
+    block at most `HELPER_SAMPLES` helper samples (or one inline, if an
+    inline has more), and each block writes only the samples the volume
+    grid keeps.  The helper blocks and the frequency stage run on one
+    thread per CPU, up to one per block; a single block runs in the calling
+    thread.  Every trace filter and elementwise step gives each trace the
+    same bits whatever the blocking, but the two whole-volume `std()` calls
+    sum in memory order, so their inputs keep the geometry of the original
+    whole-grid arithmetic: the kept impedance samples are a step-4 slice of
+    a time-first [t, il, xl] helper-length buffer, and the kept amplitude
+    samples a step-4 slice of a time-last [il, xl, t] one.
+    """
+    # imported here so that only field generation loads scipy.signal,
+    # scipy.ndimage and concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
     from scipy.ndimage import gaussian_filter1d
     from scipy.signal import hilbert
 
@@ -164,14 +192,11 @@ def generate_field(params: SynthFieldParams) -> SynthField:
     model = _LayeredSf(params, rng)
     n_il, n_xl, ns = params.n_inlines, params.n_xlines, params.n_samples
     times = params.t0_ms + params.dt_ms * np.arange(ns)
+    values = np.ascontiguousarray(model.values.transpose(1, 2, 0))  # [il, xl, layer]
 
     # ground-truth SF on the volume grid
-    layer_at_sample = model.layer_of(times)               # [ns]
-    sf_vol = np.clip(
-        model.values[layer_at_sample].transpose(1, 2, 0)
-        + model.texture(times)[None, None, :],
-        0.01, 0.99,
-    )                                                     # [il, xl, t]
+    sf_vol = np.clip(values.take(model.layer_of(times), axis=2)
+                     + model.texture(times), 0.01, 0.99)  # [il, xl, t]
 
     # impedance: monotone decreasing map of SF, band-limited, plus
     # correlated noise.  Smoothing runs on a helper grid at a quarter of the
@@ -181,54 +206,99 @@ def generate_field(params: SynthFieldParams) -> SynthField:
     margin = 10.0 * params.imp_smooth_ms
     t_helper = np.arange(params.t0_ms - margin, times[-1] + margin + helper_dt,
                          helper_dt)
-    sf_helper = np.clip(
-        model.values[model.layer_of(t_helper)]
-        + model.texture(t_helper)[:, None, None],
-        0.01, 0.99,
-    )                                                     # [nt, il, xl]
-    imp_raw_helper = params.imp_base - params.imp_drop * sf_helper
-    imp_smooth = gaussian_filter1d(imp_raw_helper,
-                                   sigma=params.imp_smooth_ms / helper_dt,
-                                   axis=0, mode="nearest")
+    nt = len(t_helper)
+    layer_helper = model.layer_of(t_helper)
+    texture_helper = model.texture(t_helper)
     start = int(round((times[0] - t_helper[0]) / helper_dt))
-    imp_vol = imp_smooth[start:start + ns * ratio:ratio].transpose(1, 2, 0)
-    imp_noise = gaussian_filter1d(
-        rng.standard_normal(imp_vol.shape), sigma=1.5, axis=2, mode="nearest"
-    )
-    imp_vol = imp_vol + params.noise_level * imp_vol.std() * imp_noise
-
+    keep = slice(start, start + ns * ratio, ratio)
     # amplitude: normal-incidence reflectivity of the full (unsmoothed)
     # impedance series convolved with a zero-phase Ricker, built on the
     # helper grid (the Ricker is far below the coarse Nyquist, so
     # decimation is safe)
-    refl = np.zeros_like(imp_raw_helper)
-    refl[:-1] = ((imp_raw_helper[1:] - imp_raw_helper[:-1])
-                 / (imp_raw_helper[1:] + imp_raw_helper[:-1]))
     taps_t = helper_dt * np.arange(-round(margin / helper_dt),
                                    round(margin / helper_dt) + 1)
     taps = ricker(taps_t, params.wavelet_center_freq_hz)
-    amp_helper = np.apply_along_axis(
-        lambda m: np.convolve(m, taps, mode="same"), 0, refl
-    )
-    amp_vol = amp_helper[start:start + ns * ratio:ratio].transpose(1, 2, 0)
-    white = rng.standard_normal(amp_vol.shape)
-    wavelet_taps = ricker(
-        params.dt_ms * np.arange(-(NOISE_TAPS // 2), NOISE_TAPS // 2 + 1),
-        params.wavelet_center_freq_hz
-    )
-    wavelet_taps = wavelet_taps / np.linalg.norm(wavelet_taps)
-    band_noise = np.apply_along_axis(
-        lambda m: np.convolve(m, wavelet_taps, mode="same"), 2, white
-    )
-    amp_vol = amp_vol + params.noise_level * amp_vol.std() * band_noise
+    imp_helper = np.empty((nt, n_il, n_xl))   # only [keep] is written
+    amp_helper = np.empty((n_il, n_xl, nt))   # only [..., keep] is written
+
+    def helper_block(block):
+        # imp_base - imp_drop * clip(layer value + texture, 0.01, 0.99),
+        # in place
+        imp_raw = values[block].take(layer_helper, axis=2)  # [il, xl, nt]
+        imp_raw += texture_helper
+        np.clip(imp_raw, 0.01, 0.99, out=imp_raw)
+        imp_raw *= params.imp_drop
+        np.subtract(params.imp_base, imp_raw, out=imp_raw)
+        scratch = gaussian_filter1d(imp_raw,
+                                    sigma=params.imp_smooth_ms / helper_dt,
+                                    axis=2, mode="nearest")
+        imp_helper[keep, block] = scratch[..., keep].transpose(2, 0, 1)
+        # (imp[t+1] - imp[t]) / (imp[t+1] + imp[t]), and 0 at the last sample
+        refl = np.zeros_like(imp_raw)
+        np.subtract(imp_raw[..., 1:], imp_raw[..., :-1], out=refl[..., :-1])
+        np.add(imp_raw[..., 1:], imp_raw[..., :-1], out=scratch[..., :-1])
+        refl[..., :-1] /= scratch[..., :-1]
+        del imp_raw, scratch
+        for i, row in enumerate(refl, block.start):
+            for j, trace in enumerate(row):
+                amp_helper[i, j, keep] = np.convolve(trace, taps, mode="same")[keep]
 
     # instantaneous frequency from the analytic signal of the amplitude
-    analytic = hilbert(amp_vol, axis=2)
-    phase = np.unwrap(np.angle(analytic), axis=2)
-    inst_hz = np.gradient(phase, axis=2) / (2.0 * math.pi * params.dt_ms / 1000.0)
-    nyq = 1000.0 / (2.0 * params.dt_ms)
-    inst_hz = np.clip(inst_hz, 0.0, nyq)
-    freq_vol = gaussian_filter1d(inst_hz, sigma=1.5, axis=2, mode="nearest")
+    def freq_block(block):
+        analytic = hilbert(amp_vol[block], axis=2)
+        phase = np.unwrap(np.angle(analytic), axis=2)
+        inst_hz = np.gradient(phase, axis=2) / (2.0 * math.pi * params.dt_ms / 1000.0)
+        inst_hz = np.clip(inst_hz, 0.0, 1000.0 / (2.0 * params.dt_ms))
+        freq_vol[block] = gaussian_filter1d(inst_hz, sigma=1.5, axis=2,
+                                            mode="nearest")
+
+    step = max(1, HELPER_SAMPLES // (n_xl * nt))
+    blocks = [slice(i, min(i + step, n_il)) for i in range(0, n_il, step)]
+    workers = min(_cores(), len(blocks))
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+
+    def run_blocks(work):
+        if pool is None:
+            for block in blocks:
+                work(block)
+        else:
+            # list() waits for every block and raises a worker's exception
+            list(pool.map(work, blocks))
+
+    try:
+        run_blocks(helper_block)
+        imp_vol = imp_helper[keep].transpose(1, 2, 0)
+        imp_noise = gaussian_filter1d(
+            rng.standard_normal(imp_vol.shape), sigma=1.5, axis=2, mode="nearest"
+        )
+        imp_noise *= params.noise_level * imp_vol.std()
+        imp_vol = np.add(imp_vol, imp_noise, out=imp_noise)
+        del imp_helper
+
+        amp_vol = amp_helper[..., keep]
+        white = rng.standard_normal(amp_vol.shape)
+        wavelet_taps = ricker(
+            params.dt_ms * np.arange(-(NOISE_TAPS // 2), NOISE_TAPS // 2 + 1),
+            params.wavelet_center_freq_hz
+        )
+        wavelet_taps = wavelet_taps / np.linalg.norm(wavelet_taps)
+        # in this thread: each trace's convolution is too short to gain
+        # from the pool, which only adds GIL handoffs
+        band_noise = np.empty_like(white)
+        for i in range(n_il):
+            for j in range(n_xl):
+                band_noise[i, j] = np.convolve(white[i, j], wavelet_taps,
+                                               mode="same")
+        del white
+        band_noise *= params.noise_level * amp_vol.std()
+        amp_vol = np.add(amp_vol, band_noise, out=band_noise)
+        del amp_helper
+
+        freq_vol = np.empty_like(amp_vol)
+        run_blocks(freq_block)
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
     def as_volume(grid, name):
         return SeismicVolume(
