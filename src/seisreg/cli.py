@@ -5,7 +5,6 @@ divergence.
 """
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -76,9 +75,8 @@ def _well_configs(args):
 def _cmd_prep(args):
     pipeline.RunConfig(dt_ms=args.dt)       # checks --dt before any input is read
     configs = _well_configs(args)
-    with contextlib.ExitStack() as stack:
-        volumes = {name: stack.enter_context(open_svol(getattr(args, name)))
-                   for name in ATTRIBUTE_LONG_NAMES}
+    paths = [getattr(args, name) for name in ATTRIBUTE_LONG_NAMES]
+    with pipeline.open_attributes(paths) as volumes:
         wells = [pipeline.prepare_well(wc, volumes, args.dt) for wc in configs]
     pipeline.write_patterns_csv(args.out, wells)
     total = sum(len(w.sf) for w in wells)
@@ -168,8 +166,7 @@ def _cmd_predict(args):
     if len(paths) != 3:
         raise ConfigError("--vol needs imp.svol,amp.svol,freq.svol")
     bundle = mlp.load_model(args.model)
-    with contextlib.ExitStack() as stack:
-        vols = [stack.enter_context(open_svol(p)) for p in paths]
+    with pipeline.open_attributes(paths, bundle.attribute_names) as vols:
         volpost.predict_volume(bundle, vols, args.out)
     print(f"wrote {args.out}")
 

@@ -111,8 +111,7 @@ def _regularize_wd(target, config, predictor):
 
 def _regularize_emd(target, config, predictor):
     decomposition = emdreg.emd(target, emdreg.SiftParams(config.sd_threshold))
-    return emdreg.regularize_emd(target, decomposition,
-                                 min(config.p1, len(decomposition) - 1))
+    return emdreg.regularize_emd(target, decomposition, config.p1)
 
 
 def _wd_truncation(config) -> list:
@@ -341,18 +340,38 @@ class WellData:
         return TimeSeries(self.t0_ms, self.dt_ms, values)
 
 
-def prepare_well(well_cfg: WellConfig, volumes: dict, dt_ms: float) -> WellData:
+@contextlib.contextmanager
+def open_attributes(paths, names=tuple(ATTRIBUTE_LONG_NAMES)):
+    """Open the `.svol` volumes at `paths` and yield their readers as a
+    list, bound by position to the model inputs `names`.
+
+    Every check runs before any well or model is read.  Opening rejects a
+    NaN at a valid sample.  Then the count must match (DataError), each
+    volume must be unnamed or named for its input's key or long name
+    (ConfigError), and all must share the first one's geometry (DataError)."""
+    with contextlib.ExitStack() as stack:
+        volumes = [stack.enter_context(open_svol(path)) for path in paths]
+        if len(volumes) != len(names):
+            raise DataError(f"model expects {len(names)} attribute volumes, "
+                            f"got {len(volumes)}")
+        for position, (vol, expected) in enumerate(zip(volumes, names)):
+            if vol.attribute_name not in ("", expected,
+                                          ATTRIBUTE_LONG_NAMES.get(expected)):
+                raise ConfigError(
+                    f"attribute volume {position + 1} is {vol.attribute_name!r}; "
+                    f"the model expects {expected!r} there (order {','.join(names)})")
+        for name, vol in zip(names[1:], volumes[1:]):
+            if not volumes[0].same_geometry(vol):
+                raise DataError(f"{name} volume geometry differs from {names[0]}")
+        yield volumes
+
+
+def prepare_well(well_cfg: WellConfig, volumes: list, dt_ms: float) -> WellData:
     """LAS + velocity + attribute volumes -> the fine-grid target and the
     (n, 3) attribute block, by one sinc call on the well's (n_src, 3) trace.
 
-    `volumes` maps each attribute key to its volume, all of one geometry.
-    Only the well's own traces are read, so they may be open `.svol`
-    readers as well as volumes in memory."""
-    first, *others = ATTRIBUTE_LONG_NAMES
-    grid = volumes[first]
-    for name in others:
-        if not grid.same_geometry(volumes[name]):
-            raise DataError(f"{name} volume geometry differs from {first}")
+    `volumes` are the open readers `open_attributes` yields, in model input
+    order and of one geometry; only the well's own traces are read."""
     with open(well_cfg.las_path) as fh:
         log = parse_las(fh.read())
     vp = resample.load_velocity_csv(well_cfg.velocity_path)
@@ -386,13 +405,13 @@ def prepare_well(well_cfg: WellConfig, volumes: dict, dt_ms: float) -> WellData:
         )
 
     traces = []
-    for name in ATTRIBUTE_LONG_NAMES:
-        samples, mask = volumes[name].trace(inline, xline)
+    for name, vol in zip(ATTRIBUTE_LONG_NAMES, volumes):
+        samples, mask = vol.trace(inline, xline)
         if not mask.all():
             raise DataError(f"well {well_cfg.well_id}: {name} trace is masked at "
                             f"({inline}, {xline})")
         traces.append(samples)
-    trace = TimeSeries(grid.t0_ms, grid.dt_ms, np.column_stack(traces))
+    trace = TimeSeries(volumes[0].t0_ms, volumes[0].dt_ms, np.column_stack(traces))
     fine = resample.sinc_resample(trace, sf_ts.t0_ms, dt_ms, len(sf_ts))
     return WellData(well_id=well_cfg.well_id, t0_ms=sf_ts.t0_ms, dt_ms=dt_ms,
                     sf=sf_ts.values, attrs=fine.values)
@@ -544,16 +563,12 @@ def run_workflow(config: RunConfig):
     `outdir`."""
     if not config.wells:
         raise ConfigError("no wells configured")
-    with contextlib.ExitStack() as stack:
-        # opening checks every valid sample, so a NaN fails the run before
-        # any training or output
-        volumes = {name: stack.enter_context(
-                       open_svol(getattr(config, f"vol_{name}")))
-                   for name in ATTRIBUTE_LONG_NAMES}
+    paths = [getattr(config, f"vol_{name}") for name in ATTRIBUTE_LONG_NAMES]
+    with open_attributes(paths) as volumes:
         wells = [prepare_well(wc, volumes, config.dt_ms) for wc in config.wells]
         report, bundle = _build_model(config, wells)
         if config.predict:
-            _post_process(config, bundle, list(volumes.values()))
+            _post_process(config, bundle, volumes)
     if config.outdir:
         write_run_outputs(config, report, bundle)
     return report, bundle

@@ -15,9 +15,9 @@ the window) is itself masked; it stays masked and keeps its input value.
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .formats.svol import create_svol
-from .formats.volume import ATTRIBUTE_LONG_NAMES, Grid, SeismicVolume
+from .formats.volume import Grid, SeismicVolume
 from .mlp import ModelBundle
 from .resample import block_edges
 
@@ -32,32 +32,15 @@ def predict_volume(bundle: ModelBundle, attrs: list, out) -> None:
     """Apply the trained model voxel-wise over aligned attribute volumes.
 
     attrs (in-memory volumes or open `.svol` readers) bind to the model's
-    inputs by position, in the order of `bundle.attribute_names`.  A named
-    volume whose name is neither that key nor its long name is a
-    ConfigError; an unnamed one is taken as given.
-    attrs must share geometry exactly; the output mask is the AND of the
-    input masks (a voxel with any attribute missing stays missing).
-    Both checks run before any output is opened.
+    inputs by position.  They come checked from `pipeline.open_attributes`:
+    one per input, named for it or unnamed, and of one geometry.  The
+    output mask is the AND of the input masks (a voxel with any attribute
+    missing stays missing).
     The model runs over blocks of `BLOCK_ROWS` flattened voxels, read from
     attrs one block at a time, and each block of the prediction is written
     to the `.svol` file at path `out`.
     """
-    if len(attrs) != bundle.model.n_in:
-        raise DataError(
-            f"model expects {bundle.model.n_in} attribute volumes, got {len(attrs)}"
-        )
-    for position, (vol, expected) in enumerate(zip(attrs, bundle.attribute_names)):
-        if vol.attribute_name not in ("", expected,
-                                      ATTRIBUTE_LONG_NAMES.get(expected)):
-            raise ConfigError(
-                f"attribute volume {position + 1} is {vol.attribute_name!r}; "
-                f"the model expects {expected!r} there "
-                f"(order {','.join(bundle.attribute_names)})"
-            )
     first = attrs[0]
-    for other in attrs[1:]:
-        if not first.same_geometry(other):
-            raise DataError("attribute volumes do not share geometry")
     edges = block_edges(first.n_voxels, BLOCK_ROWS)
     with create_svol(out, first, "sand_fraction") as sink:
         for start, stop in zip(edges, edges[1:]):

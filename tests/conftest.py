@@ -1,7 +1,6 @@
 import pytest
 
 from seisreg import pipeline, synthbench
-from seisreg.formats.svol import read_svol
 from seisreg.formats.volume import ATTRIBUTE_LONG_NAMES
 
 BENCH_SEED = 7
@@ -44,10 +43,10 @@ def bench_well_a(bench_config_text):
     """Well A's target and attributes on the fine grid, prepared and
     normalized by the pipeline (pooled over all four wells)."""
     config = pipeline.parse_config(bench_config_text)
-    volumes = {name: read_svol(getattr(config, f"vol_{name}"))
-               for name in ATTRIBUTE_LONG_NAMES}
-    wells = [pipeline.prepare_well(wc, volumes, config.dt_ms)
-             for wc in config.wells]
+    paths = [getattr(config, f"vol_{name}") for name in ATTRIBUTE_LONG_NAMES]
+    with pipeline.open_attributes(paths) as volumes:
+        wells = [pipeline.prepare_well(wc, volumes, config.dt_ms)
+                 for wc in config.wells]
     _, _, targets, _ = pipeline.pool_patterns(wells)
     a = wells[0]
     return {"well_id": a.well_id, "sf_norm": a.series(targets[:len(a.sf)]),

@@ -1,7 +1,8 @@
 """Two sets are named in one module each, and every other module reads them
 from there: the attribute keys, their order and their long names in
 `formats.volume.ATTRIBUTE_LONG_NAMES`, and the four evaluators and their
-column order in `metrics.EVALUATORS`."""
+column order in `metrics.EVALUATORS`.  The volumes that feed the attribute
+inputs are checked in one function, `pipeline.open_attributes`."""
 
 import ast
 import os
@@ -9,9 +10,9 @@ import os
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "seisreg")
 
 
-def _nodes_outside(home):
+def _nodes_outside(home=None):
     """(relative path, AST node) of every node of every module of
-    src/seisreg but `home`."""
+    src/seisreg but `home` (of every module, without one)."""
     for folder, _, files in os.walk(SRC_DIR):
         for name in files:
             path = os.path.join(folder, name)
@@ -55,3 +56,17 @@ def test_no_module_spells_out_the_evaluator_set():
                for i in range(len(values))):
             found.append(f"{rel}:{node.lineno}")
     assert not found
+
+
+def test_only_the_opener_checks_volume_geometry():
+    def geometry_checks(nodes):
+        return [node.lineno for node in nodes if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "same_geometry"]
+
+    found, opener = [], []
+    for rel, node in _nodes_outside():
+        found += [f"{rel}:{line}" for line in geometry_checks([node])]
+        if (rel, getattr(node, "name", None)) == ("pipeline.py", "open_attributes"):
+            opener += [f"{rel}:{line}" for line in geometry_checks(ast.walk(node))]
+    assert opener
+    assert sorted(found) == sorted(opener)

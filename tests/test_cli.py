@@ -48,6 +48,34 @@ class TestExitCodes:
                    "--out", workdir / "swapped.svol") == 2
         assert not (workdir / "swapped.svol").exists()
 
+    SWAPPED = ("config error: attribute volume 1 is 'amplitude'; the model "
+               "expects 'imp' there (order imp,amp,freq)\n")
+
+    def test_swapped_prep_volumes_are_2(self, workdir, bench, capsys):
+        # refused when the volumes are opened, before any well is read
+        out = workdir / "swapped.csv"
+        assert run("prep", "--imp", bench / "amp.svol", "--amp", bench / "imp.svol",
+                   "--freq", bench / "freq.svol", "--out", out,
+                   "--well", f"A:{bench}/well_A.las:{bench}/vel_A.csv") == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == self.SWAPPED
+
+    @pytest.mark.parametrize("predict", ["false", "true"])
+    def test_swapped_run_volumes_are_2_before_training(self, workdir, bench,
+                                                       predict, capsys,
+                                                       monkeypatch):
+        trained = []
+        monkeypatch.setattr(mlp, "scg_train", lambda *args: trained.append(args))
+        cfg = workdir / "swapped.cfg"
+        cfg.write_text(synthbench.config_text(bench).replace("vol.imp", "vol.x")
+                       .replace("vol.amp", "vol.imp").replace("vol.x", "vol.amp"))
+        outdir = workdir / f"swapped_predict_{predict}"
+        assert run("run", "--config", cfg, "--set", f"predict={predict}",
+                   "--set", "max_iters=20", "--set", f"outdir={outdir}") == 2
+        assert not outdir.exists()
+        assert not trained
+        assert capsys.readouterr().err == self.SWAPPED
+
     def test_data_error_is_3(self, workdir):
         bad = workdir / "bad.sgy"
         bad.write_bytes(b"too short")

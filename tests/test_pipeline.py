@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from seisreg import cli, pipeline, resample, synthbench
 from seisreg.errors import ConfigError, DataError
-from seisreg.formats.svol import read_svol
-from seisreg.formats.volume import ATTRIBUTE_LONG_NAMES
+from seisreg.formats.svol import read_svol, write_svol
+from seisreg.formats.volume import ATTRIBUTE_LONG_NAMES, SeismicVolume
 from seisreg.pipeline import (
     METHODS,
     PARAMS,
@@ -20,6 +20,7 @@ from seisreg.pipeline import (
     WellConfig,
     WellData,
     moving_average_baseline,
+    open_attributes,
     parse_config,
     read_patterns_csv,
     render_config,
@@ -418,12 +419,59 @@ class TestPatternsCsv:
                                               getattr(w2, name))
 
 
+class TestOpenAttributes:
+    """The one gate of the model's inputs: it opens the volumes, then checks
+    their count, each name against its position, then their geometry."""
+
+    def _paths(self, folder, names, t0s=(0.0, 0.0, 0.0)):
+        paths = []
+        for k, (name, t0) in enumerate(zip(names, t0s)):
+            path = pathlib.Path(folder) / f"{k}_{name or 'unnamed'}.svol"
+            write_svol(path, SeismicVolume(
+                inlines=[1, 2], xlines=[1], t0_ms=t0, dt_ms=2.0,
+                data=np.full((2, 1, 3), 1.0 + k), attribute_name=name))
+            paths.append(path)
+        return paths
+
+    def test_unnamed_volumes_bind_by_position(self, tmp_path):
+        # convert --segy leaves attribute_name empty unless --attribute is
+        # set; either spelling of a name binds too
+        for names in (("", "", ""), ("impedance", "amp", "")):
+            with open_attributes(self._paths(tmp_path, names)) as volumes:
+                assert [v.attribute_name for v in volumes] == list(names)
+                assert [v.read(0, 1)[0][0] for v in volumes] == [1.0, 2.0, 3.0]
+
+    def test_geometry_mismatch(self, tmp_path):
+        paths = self._paths(tmp_path, ("imp", "amp", "freq"), (0.0, 2.0, 0.0))
+        with pytest.raises(DataError, match="^amp volume geometry differs from imp$"):
+            with open_attributes(paths):
+                pass
+
+    def test_misnamed_volume_rejected(self, tmp_path):
+        # amp in the impedance position would feed amplitude to that input;
+        # names are checked before geometry
+        paths = self._paths(tmp_path, ("amp", "imp", "freq"), (0.0, 2.0, 0.0))
+        with pytest.raises(ConfigError, match="attribute volume 1 is 'amp'; the "
+                                              "model expects 'imp' there"):
+            with open_attributes(paths):
+                pass
+        # the order a model names is the one checked
+        with open_attributes(paths[:1] + paths[2:], ["amp", "freq"]) as volumes:
+            assert len(volumes) == 2
+
+    def test_count_mismatch(self, tmp_path):
+        paths = self._paths(tmp_path, ("imp", "amp"))
+        with pytest.raises(DataError, match="model expects 3 attribute volumes, got 2"):
+            with open_attributes(paths):
+                pass
+
+
 class TestPrepareWell:
     def test_one_sinc_call_per_well_on_the_attribute_block(
             self, bench_config_text, monkeypatch):
         config = parse_config(bench_config_text)
-        volumes = {name: read_svol(getattr(config, f"vol_{name}"))
-                   for name in ATTRIBUTE_LONG_NAMES}
+        volumes = [read_svol(getattr(config, f"vol_{name}"))
+                   for name in ATTRIBUTE_LONG_NAMES]
         sinc = resample.sinc_resample
         shapes = []
 
@@ -435,7 +483,7 @@ class TestPrepareWell:
         for wc in config.wells:
             well = pipeline.prepare_well(wc, volumes, config.dt_ms)
             assert well.attrs.shape == (len(well.sf), 3)
-        n_src = volumes["imp"].n_samples
+        n_src = volumes[0].n_samples
         assert shapes == [(n_src, 3)] * len(config.wells)
 
 
@@ -490,6 +538,25 @@ class TestWorkflow:
         with pytest.raises(DataError, match=r"bin\(s\) inside 4.0 Hz; need >= 3"):
             run_workflow(parse_config(bench_config_text,
                                       {**settings, "zeta_max_hz": "4"}))
+
+    def test_emd_retries_stop_at_a_wells_imf_count(self, bench_config_text):
+        settings = {"method": "emd", "max_iters": "20",
+                    "validation_cc_threshold": "0.999", "max_attempts": "14"}
+        report, _ = run_workflow(parse_config(bench_config_text, settings))
+        # every attempt suppresses one more IMF in every well, as reported
+        for k, attempt in enumerate(report.attempts):
+            assert attempt["method_params"]["p1"] == k + 1
+            assert {d["p1"] for d in attempt["regularization"].values()} == {k + 1}
+        # the schedule ends when a well has no IMF left to suppress
+        fewest = min(d["imf_count"]
+                     for d in report.final["regularization"].values())
+        assert len(report.attempts) == fewest - 1
+        assert report.final["tightening_stopped"].startswith(
+            f"attempt {fewest - 1}: p1={fewest} outside 1..")
+        # a first attempt beyond a well's IMFs fails the run
+        with pytest.raises(ConfigError, match=f"p1={fewest} outside 1.."):
+            run_workflow(parse_config(bench_config_text,
+                                      {**settings, "p1": str(fewest)}))
 
     def test_overlap_checked_on_every_attempt(self, bench_config_text,
                                               monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from seisreg import volpost
-from seisreg.errors import ConfigError, DataError
+from seisreg.errors import ConfigError
 from seisreg.formats.svol import open_svol, read_svol, write_svol
 from seisreg.formats.volume import SeismicVolume
 from seisreg.mlp import ModelBundle, forward_batch, init_model
@@ -106,31 +106,6 @@ class TestPredictVolume:
         inverse[perm] = np.arange(len(perm))
         permuted = bundle.predict(flat[perm])[inverse].reshape(out.data.shape)
         np.testing.assert_array_equal(permuted, out.data)
-
-    def test_unnamed_volumes_bind_by_position(self, tmp_path):
-        # convert --segy leaves attribute_name empty unless --attribute is set
-        bundle = make_bundle()
-        named = self._attrs(shape=(2, 1, 3))
-        unnamed = [make_volume(v.data, name="") for v in named]
-        np.testing.assert_array_equal(
-            predicted(bundle, unnamed, tmp_path, "unnamed.svol").data,
-            predicted(bundle, named, tmp_path, "named.svol").data)
-
-    def test_geometry_mismatch(self, tmp_path):
-        attrs = self._attrs()
-        attrs[1] = make_volume(np.zeros((1, 1, 4)), t0=2.0, name="amp")
-        with left_alone(tmp_path) as out, \
-                pytest.raises(DataError, match="do not share geometry"):
-            predict_volume(make_bundle(), attrs, out)
-
-    def test_misnamed_volume_rejected(self, tmp_path):
-        # amp in the impedance position would feed amplitude to that input
-        attrs = self._attrs()
-        attrs[0], attrs[1] = attrs[1], attrs[0]
-        with left_alone(tmp_path) as out, pytest.raises(
-                ConfigError, match="attribute volume 1 is 'amp'; the model "
-                                   "expects 'imp' there"):
-            predict_volume(make_bundle(), attrs, out)
 
     def test_mask_propagates(self, tmp_path):
         attrs = self._attrs(shape=(2, 2, 3))
