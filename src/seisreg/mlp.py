@@ -365,6 +365,8 @@ class ModelBundle:
 
     @classmethod
     def from_dict(cls, d):
+        """The bundle `to_dict` wrote.  Every weight and stat must be
+        finite, every input std > 0, and data_min < data_max, lo < hi."""
         n_in, n_hidden, n_out = d["layer_sizes"]
         if n_out != 1:
             raise DataError("only single-output models are supported")
@@ -385,6 +387,14 @@ class ModelBundle:
                 f"input_stats mean/std of shapes {input_stats.mean.shape}/"
                 f"{input_stats.std.shape} for {n_in} inputs"
             )
+        target_stats = MinMaxStats.from_dict(d["target_stats"])
+        numbers = np.concatenate([flat, input_stats.mean, input_stats.std,
+                                  list(target_stats.to_dict().values())])
+        if not (np.isfinite(numbers).all() and (input_stats.std > 0).all()
+                and target_stats.data_min < target_stats.data_max
+                and target_stats.lo < target_stats.hi):
+            raise DataError("model weights and stats must be finite, with every "
+                            "input std > 0, data_min < data_max and lo < hi")
         names = d.get("attribute_names", list(ATTRIBUTE_LONG_NAMES))
         if not (isinstance(names, list) and len(names) == n_in
                 and all(isinstance(name, str) for name in names)):
@@ -392,7 +402,7 @@ class ModelBundle:
         return cls(
             model=template.with_flat(flat),
             input_stats=input_stats,
-            target_stats=MinMaxStats.from_dict(d["target_stats"]),
+            target_stats=target_stats,
             seed=int(d.get("seed", 0)),
             attribute_names=names,
         )

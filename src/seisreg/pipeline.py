@@ -404,34 +404,20 @@ def prepare_well(well_cfg: WellConfig, volumes: list, dt_ms: float) -> WellData:
             f"well {well_cfg.well_id}: no inline/xline in config or LAS ~W (ILIN/XLIN)"
         )
 
-    traces = []
-    for name, vol in zip(ATTRIBUTE_LONG_NAMES, volumes):
-        samples, mask = vol.trace(inline, xline)
-        if not mask.all():
-            raise DataError(f"well {well_cfg.well_id}: {name} trace is masked at "
-                            f"({inline}, {xline})")
-        traces.append(samples)
-    trace = TimeSeries(volumes[0].t0_ms, volumes[0].dt_ms, np.column_stack(traces))
-    fine = resample.sinc_resample(trace, sf_ts.t0_ms, dt_ms, len(sf_ts))
+    try:
+        traces = []
+        for name, vol in zip(ATTRIBUTE_LONG_NAMES, volumes):
+            samples, mask = vol.trace(inline, xline)
+            if not mask.all():
+                raise DataError(f"{name} trace is masked at ({inline}, {xline})")
+            traces.append(samples)
+        trace = TimeSeries(volumes[0].t0_ms, volumes[0].dt_ms, np.column_stack(traces))
+        fine = resample.sinc_resample(trace, sf_ts.t0_ms, dt_ms, len(sf_ts))
+    except DataError as exc:
+        # a position off the volume, a masked trace or a time span outside it
+        raise DataError(f"well {well_cfg.well_id}: {exc}") from None
     return WellData(well_id=well_cfg.well_id, t0_ms=sf_ts.t0_ms, dt_ms=dt_ms,
                     sf=sf_ts.values, attrs=fine.values)
-
-
-def _well_tables(well: WellData, scored: dict, sf_norm: TimeSeries,
-                 sf_reg: TimeSeries, reg_report: dict, bins: int) -> dict:
-    # the report holds the entropies of both targets and of the predictor
-    # column; the other attribute columns are scored here
-    entropy = {"original_sf": reg_report["entropy_original"],
-               "regularized_sf": reg_report["entropy_regularized"]}
-    nmi_rows = {}
-    for k, (name, vals) in enumerate(scored.items()):
-        entropy[name] = (reg_report["entropy_predictor"] if k == PREDICTOR
-                         else metrics.series_entropy(well.series(vals)))
-        nmi_rows[name] = {
-            "original": metrics.nmi(vals, sf_norm.values, bins),
-            "regularized": metrics.nmi(vals, sf_reg.values, bins),
-        }
-    return {"entropy_bits": entropy, "nmi": nmi_rows}
 
 
 def _good_fit(scores: dict) -> bool:
@@ -502,49 +488,31 @@ def evaluate_subset(bundle: mlp.ModelBundle, inputs, targets) -> dict:
 
 
 def _regularize_wells(wells, bounds, config: RunConfig, inputs, targets):
-    """Regularize each well's target: (pooled targets, reports, tables)."""
+    """Regularize each well's target: (pooled targets, reports, tables).
+    A well's tables take its two target entropies from the report and score
+    each attribute column themselves."""
     method = METHODS[config.method]
+    nmi = lambda vals, sf: metrics.nmi(vals, sf.values, config.mi_bins)
     reg_targets = []
     reg_reports = {}
     tables = {}
     for w, lo, hi in zip(wells, bounds, bounds[1:]):
-        scored = dict(zip(ATTRIBUTE_LONG_NAMES.values(), inputs[lo:hi].T))
         sf_norm = w.series(targets[lo:hi])
         sf_reg, rep = method.regularize(sf_norm, config,
                                         w.series(inputs[lo:hi, PREDICTOR]))
         reg_targets.append(sf_reg.values)
         reg_reports[w.well_id] = rep
-        tables[w.well_id] = _well_tables(w, scored, sf_norm, sf_reg, rep,
-                                         config.mi_bins)
+        scored = dict(zip(ATTRIBUTE_LONG_NAMES.values(), inputs[lo:hi].T))
+        tables[w.well_id] = {
+            "entropy_bits": {"original_sf": rep["entropy_original"],
+                             "regularized_sf": rep["entropy_regularized"],
+                             **{name: metrics.series_entropy(w.series(vals))
+                                for name, vals in scored.items()}},
+            "nmi": {name: {"original": nmi(vals, sf_norm),
+                           "regularized": nmi(vals, sf_reg)}
+                    for name, vals in scored.items()},
+        }
     return np.concatenate(reg_targets), reg_reports, tables
-
-
-def _run_attempt(wells, bounds, config: RunConfig, inputs, input_stats,
-                 target_stats, regularized):
-    """One split -> train -> evaluate pass on regularized targets."""
-    reg_targets, reg_reports, tables = regularized
-    bundle, history, (_, test, held_out) = train_model(
-        wells, config, inputs, input_stats, reg_targets, target_stats)
-    score = lambda rows: evaluate_subset(bundle, inputs[rows], reg_targets[rows])
-    # each validation row's well: the block of the pooled table it falls in
-    well_of = np.searchsorted(bounds, held_out, side="right") - 1
-    validation = {w.well_id: score(held_out[well_of == k])
-                  for k, w in enumerate(wells)}
-    pooled = score(held_out)
-
-    attempt = {
-        "method_params": METHODS[config.method].describe(config),
-        "regularization": reg_reports,
-        "tables": tables,
-        "train": {"iterations": history.iterations,
-                  "final_loss": history.final_loss,
-                  "stop_reason": history.stop_reason},
-        "test": score(test),
-        "validation": validation,
-        "validation_pooled": pooled,
-        "good_fit": {wid: _good_fit(r) for wid, r in validation.items()},
-    }
-    return attempt, bundle
 
 
 def run_workflow(config: RunConfig):
@@ -591,22 +559,38 @@ def _build_model(config: RunConfig, wells):
             for w, lo, hi in zip(wells, bounds, bounds[1:])
         ))
     attempts = []
-    bundle = None
     for attempt_no in range(config.max_attempts):
         try:
-            regularized = _regularize_wells(wells, bounds, params, inputs,
-                                            targets)
+            reg_targets, reg_reports, tables = _regularize_wells(
+                wells, bounds, params, inputs, targets)
         except (ConfigError, DataError) as exc:
             if not attempts:
                 raise
             attempts[-1]["tightening_stopped"] = f"attempt {attempt_no}: {exc}"
             break
-        attempt, bundle = _run_attempt(wells, bounds, params, inputs,
-                                       input_stats, target_stats, regularized)
-        attempt["attempt"] = attempt_no
-        attempts.append(attempt)
+        bundle, history, (_, test, held_out) = train_model(
+            wells, params, inputs, input_stats, reg_targets, target_stats)
+        score = lambda rows: evaluate_subset(bundle, inputs[rows], reg_targets[rows])
+        # each validation row's well: the block of the pooled table it falls in
+        well_of = np.searchsorted(bounds, held_out, side="right") - 1
+        validation = {w.well_id: score(held_out[well_of == k])
+                      for k, w in enumerate(wells)}
+        pooled = score(held_out)
+        attempts.append({
+            "attempt": attempt_no,
+            "method_params": METHODS[params.method].describe(params),
+            "regularization": reg_reports,
+            "tables": tables,
+            "train": {"iterations": history.iterations,
+                      "final_loss": history.final_loss,
+                      "stop_reason": history.stop_reason},
+            "test": score(test),
+            "validation": validation,
+            "validation_pooled": pooled,
+            "good_fit": {wid: _good_fit(r) for wid, r in validation.items()},
+        })
         # a NaN pooled CC compares false and retries
-        if attempt["validation_pooled"]["cc"] >= config.validation_cc_threshold:
+        if pooled["cc"] >= config.validation_cc_threshold:
             break
         tightened = METHODS[params.method].tighten(params)
         if tightened is None:
@@ -703,17 +687,18 @@ def write_patterns_csv(path, wells: list) -> None:
             fh.write(row * len(table) % tuple(table.ravel().tolist()))
 
 
-def _parse_pattern_rows(rows: list) -> np.ndarray:
-    """The five numeric cells of each `id,t,imp,amp,freq,sf` row.
-
-    A row with fewer than six cells, or with a nan or inf among its five
-    numbers, is a ValueError; cells past the sixth are not looked at.
-    """
-    table = np.loadtxt(rows, delimiter=",", usecols=(1, 2, 3, 4, 5),
-                       comments=None, ndmin=2)
-    if not np.isfinite(table).all():
-        raise ValueError("non-finite pattern cell")
-    return table
+def _parse_pattern_rows(rows: list) -> tuple:
+    """The well ids and the (len(rows), 5) table of numbers of
+    `id,t,imp,amp,freq,sf` rows; a row that is not a well id and five
+    finite numbers is a ValueError."""
+    ids, _, numbers = zip(*(row.partition(",") for row in rows))
+    if not all(numbers):
+        # nothing after the id would be a skipped blank line to np.loadtxt
+        raise ValueError("a row of no numbers")
+    table = np.loadtxt(numbers, delimiter=",", comments=None, ndmin=2)
+    if table.shape != (len(rows), 5) or not np.isfinite(table).all():
+        raise ValueError("not a well id and five finite numbers")
+    return ids, table
 
 
 def _bad_pattern_row(path) -> DataError:
@@ -726,8 +711,6 @@ def _bad_pattern_row(path) -> DataError:
             if not line:
                 continue
             try:
-                if line.count(",") != 5:
-                    raise ValueError
                 _parse_pattern_rows([line])
             except ValueError:
                 return DataError(f"{path}:{lineno}: expected a well id and five "
@@ -759,14 +742,11 @@ def read_patterns_csv(path) -> list:
             if not rows:
                 continue
             try:
-                table = _parse_pattern_rows(rows)
+                ids, table = _parse_pattern_rows(rows)
             except ValueError:
                 raise _bad_pattern_row(path) from None
-            # every row has at least five commas, so this total means exactly five
-            if sum(row.count(",") for row in rows) != 5 * len(rows):
-                raise _bad_pattern_row(path)
             start = 0
-            for well_id, run in itertools.groupby(row[:row.index(",")] for row in rows):
+            for well_id, run in itertools.groupby(ids):
                 stop = start + len(list(run))
                 by_well.setdefault(well_id, []).append(table[start:stop])
                 start = stop

@@ -247,7 +247,7 @@ class MinMaxStats:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**d)
+        return cls(**{k: float(v) for k, v in dict(d).items()})
 
 
 def minmax_to_band(series):

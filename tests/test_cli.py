@@ -247,6 +247,39 @@ class TestExitCodes:
         assert run("predict", "--model", model, "--vol", vols,
                    "--out", workdir / "unused.svol") == 3
 
+    NON_FINITE = "model weights and stats must be finite, with every input std > 0"
+
+    @pytest.mark.parametrize("keys, value, message", [
+        (("weights", 0), float("nan"), NON_FINITE),
+        (("input_stats", "mean", 1), float("inf"), NON_FINITE),
+        (("input_stats", "std", 2), 0.0, NON_FINITE),
+        (("target_stats", "data_min"), "x", "not a model file (ValueError"),
+        (("target_stats", "data_min"), 1e9, NON_FINITE),
+        (("target_stats", "hi"), 0.1, NON_FINITE),
+    ], ids=["nan_weight", "inf_mean", "zero_std", "text_data_min",
+            "data_min_above_max", "hi_at_lo"])
+    def test_bad_model_stats_are_3_before_any_volume_is_read(
+            self, workdir, patterns, bench, keys, value, message, capsys,
+            monkeypatch):
+        model = workdir / "bad_stats.json"
+        assert run("train", patterns, "--max-iters", 20, "--out", model) == 0
+        bundle = json.loads(model.read_text())
+        *path, last = keys
+        node = bundle
+        for key in path:
+            node = node[key]
+        node[last] = value
+        model.write_text(json.dumps(bundle))
+        opened = []
+        monkeypatch.setattr(pipeline, "open_svol", opened.append)
+        out = workdir / "bad_stats.svol"
+        vols = ",".join(str(bench / f"{n}.svol") for n in ("imp", "amp", "freq"))
+        capsys.readouterr()
+        assert run("predict", "--model", model, "--vol", vols, "--out", out) == 3
+        assert message in capsys.readouterr().err
+        assert not opened
+        assert not out.exists()
+
     @pytest.mark.parametrize("names", [["imp"], [1, 2, 3]])
     def test_bad_model_attribute_names_is_3(self, workdir, patterns, bench,
                                             names, capsys):
@@ -346,6 +379,30 @@ class TestExitCodes:
             assert run("prep", *_prep_volumes(bench), "--out", out,
                        "--well", f"A:{path}:{bench}/vel_A.csv") == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("well.B.inline=99", "well B: inline 99 not in volume"),
+        ("well.B.xline=0", "well B: xline 0 not in volume"),
+        ("well.A.velocity=SLOW", "well A: target ["),
+    ], ids=["inline", "xline", "time_span"])
+    def test_well_position_errors_name_the_well(self, workdir, bench, setting,
+                                                message, capsys):
+        # velocities 1% slower move well A's time span to start before the
+        # volume's first sample
+        slow = workdir / "vel_A_slow.csv"
+        header, *knots = (bench / "vel_A.csv").read_text().splitlines()
+        slow.write_text("\n".join([header] + [
+            f"{depth},{float(time) * 0.99!r}"
+            for depth, time in (knot.split(",") for knot in knots)]) + "\n")
+        cfg = workdir / "bench.cfg"
+        cfg.write_text(synthbench.config_text(bench))
+        capsys.readouterr()
+        setting = setting.replace("SLOW", str(slow))
+        assert run("run", "--config", cfg, "--set", setting,
+                   "--set", "max_iters=20") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {message}")
+        assert err.count("well ") == 1
 
     @pytest.mark.parametrize("change", ["extra_inline", "later_start"])
     def test_volume_geometry_mismatch_is_3(self, workdir, bench, change, capsys):

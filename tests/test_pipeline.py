@@ -558,6 +558,19 @@ class TestWorkflow:
             run_workflow(parse_config(bench_config_text,
                                       {**settings, "p1": str(fewest)}))
 
+    def test_tables_hold_the_reports_entropies(self, workflow_reports):
+        # the tables score every attribute column themselves; the amplitude
+        # column is the predictor the report scored, so the bits agree
+        amplitude = ATTRIBUTE_LONG_NAMES["amp"]
+        for method, report in workflow_reports.items():
+            final = report.final
+            for well_id, tables in final["tables"].items():
+                h = tables["entropy_bits"]
+                rep = final["regularization"][well_id]
+                assert h[amplitude] == rep["entropy_predictor"], (method, well_id)
+                assert h["original_sf"] == rep["entropy_original"]
+                assert h["regularized_sf"] == rep["entropy_regularized"]
+
     def test_overlap_checked_on_every_attempt(self, bench_config_text,
                                               monkeypatch):
         split_patterns = resample.split_patterns
