@@ -21,11 +21,18 @@ from .formats.volume import Grid, SeismicVolume
 from .mlp import ModelBundle
 from .resample import block_edges
 
-# Voxels per block of the sweep, and window cells per slab of the filter.
-# A power of two, so the sweep's `block_edges` give the bits of one call
-# over the whole volume (blocks of 6 or 7 rows, or whole inlines, change
-# the last bit).
-BLOCK_ROWS = 1 << 16
+# Voxels per block of the sweep.  The hidden activations of one block
+# (1.3 MB at 10 hidden units) fit in L2.  A power of two, so the sweep's
+# `block_edges` give the bits of one call over the whole volume (blocks of
+# 6 or 7 rows, or whole inlines, change the last bit).
+BLOCK_ROWS = 1 << 14
+
+# Voxels per slab of the filter, and window cells it gathers and sorts at
+# once.  It stages and sorts them in two buffers of SORT_CELLS cells, 1 MiB
+# each, so that both stay in one core's L2; a trace of more window cells
+# than that is gathered alone.
+SLAB_VOXELS = 1 << 16
+SORT_CELLS = 1 << 17
 
 
 def predict_volume(bundle: ModelBundle, attrs: list, out) -> None:
@@ -57,30 +64,43 @@ def median_filter_3d(vol: SeismicVolume, window: int, out) -> None:
     For the full 27-point window this picks the 14th largest value;
     shrunken (boundary or masked) neighbourhoods use the lower median of
     whatever is valid, and a voxel with nothing valid keeps its input value.
-    The window cells are sorted one slab of inlines at a time, each slab at
-    most `BLOCK_ROWS` window cells (or one inline, if an inline has more);
-    only that slab is ever padded, never the whole volume.  Each filtered
-    slab is written to the `.svol` file at path `out`.
+    The volume is filtered one slab of inlines at a time, each slab at most
+    `SLAB_VOXELS` voxels (or one inline, if an inline has more); only that
+    slab is ever padded, never the whole volume.  A slab's window cells are
+    gathered and sorted a few traces at a time, at most `SORT_CELLS` cells
+    (or one trace's, if a trace has more).  Every voxel's window is sorted
+    alone, so the bytes do not depend on either size.  Each filtered slab is
+    written to the `.svol` file at path `out`.
     """
     if window < 1 or window % 2 == 0:
         raise ConfigError(f"window must be odd and >= 1, got {window}")
     edges = (window,) * 3
+    cube = window ** 3
     half = window // 2
     n_inlines, n_xlines, n_samples = vol.data.shape
     plane = n_xlines * n_samples
-    step = min(n_inlines, max(1, BLOCK_ROWS // (plane * window ** 3)))
+    step = min(n_inlines, max(1, SLAB_VOXELS // plane))
+    # traces per gather, at least one: crosslines of one inline, or whole
+    # inlines of the slab
+    traces = max(1, SORT_CELLS // (n_samples * cube))
+    gather_rows = min(step, max(1, traces // n_xlines))
+    gather_xlines = min(n_xlines, traces)
     # one slab of step inlines padded by half a window on every side, refilled
     # for each step: +inf at masked and out-of-bounds cells, and each cell's
     # validity in the narrowest signed type that holds window**3, so that
-    # count - 1 = -1 stays representable
+    # count - 1 = -1 stays representable.  Then, for one gather, the window
+    # cells staged with the sample axis last (so that the copy from the slab
+    # runs along whole traces), the same cells as a table of one row per
+    # voxel, and the flat index of each row's first cell.  Invalid cells
+    # sort to the top, so the lower median of k valid values sits at index
+    # (k - 1) // 2 of its row.  Ties only swap values that compare equal.
     padded = (step + window - 1, n_xlines + window - 1, n_samples + window - 1)
     slab = np.empty(padded)
-    valid = np.empty(padded, dtype=np.min_scalar_type(-window ** 3))
-    # one row of window**3 cells per voxel of a slab, one buffer for every
-    # slab; invalid cells sort to the top, so the lower median of k valid
-    # values sits at index (k - 1) // 2.  Ties only swap values that
-    # compare equal.
-    buffer = np.empty((step, n_xlines, n_samples) + edges)
+    valid = np.empty(padded, dtype=np.min_scalar_type(-cube))
+    windows = sliding_window_view(slab, edges).transpose(0, 1, 3, 4, 5, 2)
+    gathered = gather_rows * gather_xlines * n_samples * cube
+    stage, table = np.empty(gathered), np.empty(gathered)
+    firsts = np.arange(0, gathered, cube)
     with create_svol(out, vol, vol.attribute_name) as sink:
         for i in range(0, n_inlines, step):
             rows = min(step, n_inlines - i)
@@ -97,15 +117,23 @@ def median_filter_3d(vol: SeismicVolume, window: int, out) -> None:
                 n = counts.shape[axis] - window + 1
                 counts = sum(counts[(slice(None),) * axis + (slice(s, s + n),)]
                              for s in range(window))
-            windows = sliding_window_view(slab[:rows + window - 1], edges)
-            cells = buffer[:rows]
-            cells[...] = windows
-            cells = cells.reshape(windows.shape[:3] + (-1,))
-            cells.sort(axis=-1)
-            picked = np.take_along_axis(cells, (counts[..., None] - 1) // 2,
-                                        axis=-1)
+            ranks = (counts - 1) // 2
             smoothed = vol.data[i:i + rows].copy()
-            np.copyto(smoothed, picked[..., 0], where=counts > 0)
+            for r0 in range(0, rows, gather_rows):
+                for x0 in range(0, n_xlines, gather_xlines):
+                    at = (slice(r0, min(r0 + gather_rows, rows)),
+                          slice(x0, x0 + gather_xlines))
+                    part = windows[at]
+                    shape = part.shape[:2] + (n_samples,)
+                    staged = stage[:part.size].reshape(part.shape)
+                    staged[...] = part
+                    cells = table[:part.size].reshape(shape + (cube,))
+                    cells[...] = staged.reshape(shape[:2] + (cube, n_samples)
+                                                ).swapaxes(2, 3)
+                    cells.sort(axis=-1)
+                    picks = firsts[:part.size // cube].reshape(shape) + ranks[at]
+                    np.copyto(smoothed[at], table.take(picks),
+                              where=counts[at] > 0)
             sink.write(i * plane, smoothed, vol.mask[i:i + rows])
 
 

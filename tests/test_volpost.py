@@ -56,6 +56,13 @@ def filtered(vol, folder, window=3, name="med.svol"):
     return read_svol(out)
 
 
+def filter_sizes(slab_voxels, sort_cells=None):
+    """Patch the filter's slab (voxels) and sort (window cells) sizes; the
+    sort size defaults to the slab's."""
+    return mock.patch.multiple(volpost, SLAB_VOXELS=slab_voxels,
+                               SORT_CELLS=sort_cells or slab_voxels)
+
+
 @contextlib.contextmanager
 def left_alone(folder):
     """A stage that fails its checks leaves the file already at its output
@@ -214,8 +221,9 @@ def brute_force_lower_median(data, mask, window):
 
 
 class TestBlocks:
-    """Both volume stages work in blocks of volpost.BLOCK_ROWS voxels; no
-    block seam may change a bit of the output."""
+    """The sweep works in blocks of volpost.BLOCK_ROWS voxels, the filter in
+    slabs of volpost.SLAB_VOXELS and sorts of volpost.SORT_CELLS; no seam
+    may change a bit of the output."""
 
     @pytest.mark.parametrize("block_rows", [8, 64])
     @pytest.mark.parametrize("shape", [(5, 7, 13), (11, 1, 11), (9, 11, 9),
@@ -241,46 +249,52 @@ class TestBlocks:
     @pytest.mark.parametrize("window", [1, 3, 5])
     @pytest.mark.parametrize("block_rows", [8, 64])
     @pytest.mark.parametrize("shape", [(5, 7, 13), (11, 1, 11), (9, 11, 9)])
-    def test_median_matches_one_block_and_brute_force(self, tmp_path, monkeypatch,
-                                                      shape, block_rows, window):
+    def test_median_matches_one_block_and_brute_force(self, tmp_path, shape,
+                                                      block_rows, window):
         rng = np.random.default_rng(sum(shape))
         data = rng.uniform(0, 1, shape)
         mask = rng.uniform(0, 1, shape) > 0.3
         vol = make_volume(data, mask=mask)
-        monkeypatch.setattr(volpost, "BLOCK_ROWS", 1 << 30)
-        whole = filtered(vol, tmp_path, window, "whole.svol")
-        monkeypatch.setattr(volpost, "BLOCK_ROWS", block_rows)
-        blocked = filtered(vol, tmp_path, window, "blocked.svol")
+        with filter_sizes(1 << 30):
+            whole = filtered(vol, tmp_path, window, "whole.svol")
+        with filter_sizes(block_rows):
+            blocked = filtered(vol, tmp_path, window, "blocked.svol")
         np.testing.assert_array_equal(blocked.data, whole.data)
         np.testing.assert_array_equal(
             blocked.data, brute_force_lower_median(data, mask, window))
 
-    @pytest.mark.parametrize("stage", ["predict", "median"])
+    @pytest.mark.parametrize("stage", ["predict", "median", "median_long_traces"])
     def test_peak_memory_is_a_few_volumes(self, tmp_path, stage):
         # in one pass over the whole volume the hidden activations
         # (predict) or the 27 window cells (median) alone take 26-32 times
-        # the volume's bytes; the median holds one sort buffer of at most
-        # BLOCK_ROWS voxels and one padded slab of inlines
+        # the volume's bytes; the median holds one padded slab of at most
+        # SLAB_VOXELS and the window cells of at most SORT_CELLS.  At window
+        # 5 a trace of 1,500 samples has 187,500 window cells, more than
+        # SORT_CELLS, so the filter gathers one trace at a time; a crossline
+        # of each of the slab's 5 inlines would take 5 volumes per buffer
+        shape, window, volumes = {"predict": ((64, 64, 128), None, 10),
+                                  "median": ((64, 64, 128), 3, 6),
+                                  "median_long_traces": ((16, 8, 1500), 5, 5)}[stage]
         rng = np.random.default_rng(8)
-        shape = (64, 64, 128)
         attrs = [make_volume(rng.uniform(0, 2, shape), name=n)
                  for n in ("imp", "amp", "freq")]
         bundle = make_bundle(hidden=10)
         out = tmp_path / f"{stage}.svol"
-        call = {"predict": lambda: predict_volume(bundle, attrs, out),
-                "median": lambda: median_filter_3d(attrs[0], 3, out)}[stage]
         tracemalloc.start()
         try:
-            call()
+            if window is None:
+                predict_volume(bundle, attrs, out)
+            else:
+                median_filter_3d(attrs[0], window, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < {"predict": 10, "median": 6}[stage] * attrs[0].data.nbytes
+        assert peak < volumes * attrs[0].data.nbytes
 
 
 # Volumes of a few inlines, with every mask drawn, and both kinds of block:
 # the sweep's, a multiple of 4 rows (see resample.block_edges), and the
-# filter's, any number of window cells.
+# filter's, any number of voxels per slab and of window cells per sort.
 SHAPES = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 8))
 SWEEP_ROWS = st.sampled_from([4, 8, 16, 32, 64, 128])
 SLAB_CELLS = st.integers(1, 1000)
@@ -295,19 +309,18 @@ def masked_volumes(draw, names):
             for name in names]
 
 
-def one_block_and_blocked(stage, block_rows):
+def one_block_and_blocked(stage, block_rows, sort_cells=None):
     """The bytes stage(out) writes in one block and in blocks of
-    block_rows, and the blocked output read back."""
-    saved = volpost.BLOCK_ROWS
-    try:
-        with tempfile.TemporaryDirectory() as folder:
-            outs = [Path(folder) / "whole.svol", Path(folder) / "blocked.svol"]
-            for rows, out in zip((1 << 30, block_rows), outs):
-                volpost.BLOCK_ROWS = rows
+    block_rows (and sorts of sort_cells), and the blocked output read
+    back."""
+    with tempfile.TemporaryDirectory() as folder:
+        outs = [Path(folder) / "whole.svol", Path(folder) / "blocked.svol"]
+        for rows, cells, out in zip((1 << 30, block_rows),
+                                    (1 << 30, sort_cells), outs):
+            with mock.patch.object(volpost, "BLOCK_ROWS", rows), \
+                    filter_sizes(rows, cells):
                 stage(out)
-            return outs[0].read_bytes(), outs[1].read_bytes(), read_svol(outs[1])
-    finally:
-        volpost.BLOCK_ROWS = saved
+        return outs[0].read_bytes(), outs[1].read_bytes(), read_svol(outs[1])
 
 
 class TestVolumeInvariants:
@@ -327,11 +340,12 @@ class TestVolumeInvariants:
 
     @settings(max_examples=30, deadline=None)
     @given(vols=masked_volumes(("sf",)), window=st.sampled_from([1, 3, 5]),
-           block_rows=SLAB_CELLS)
+           block_rows=SLAB_CELLS, sort_cells=SLAB_CELLS)
     def test_median_keeps_the_mask_and_blocks_match(self, vols, window,
-                                                   block_rows):
+                                                   block_rows, sort_cells):
         whole, blocked, out = one_block_and_blocked(
-            lambda out: median_filter_3d(vols[0], window, out), block_rows)
+            lambda out: median_filter_3d(vols[0], window, out), block_rows,
+            sort_cells)
         assert blocked == whole
         np.testing.assert_array_equal(out.mask, vols[0].mask)
 
