@@ -87,34 +87,20 @@ def _cmd_prep(args):
 def _cmd_metrics(args):
     pipeline.RunConfig(mi_bins=args.bins)   # checks --bins before the file is read
     wells = pipeline.read_patterns_csv(args.patterns)
-    sep = "," if args.format == "csv" else "  "
     # built whole, so a failure part way (a bad --bins) prints nothing
-    lines = []
-    for w in wells:
-        scored = dict(zip(ATTRIBUTE_LONG_NAMES.values(), w.attrs.T))
-        lines += [f"# entropy_bits well={w.well_id}",
-                  sep.join(["variable", "entropy_bits"])]
-        for name, vals in {**scored, "sf": w.sf}.items():
-            h = metrics.series_entropy(w.series(vals))
-            lines.append(sep.join([name, f"{h:.4f}"]))
-        lines += [f"# nmi well={w.well_id}", sep.join(["predictor", "vs_sf"])]
-        for name, vals in scored.items():
-            lines.append(sep.join([name, f"{metrics.nmi(vals, w.sf, args.bins):.4f}"]))
-    print("\n".join(lines))
+    tables = {w.well_id: pipeline.well_tables(w, {"original": w.series(w.sf)}, args.bins)
+              for w in wells}
+    sys.stdout.write(pipeline.tables_text(tables, args.format))
 
 
 def _cmd_regularize(args):
     settings = {p.key: getattr(args, p.key) for p in pipeline.PARAMS.values()
                 if getattr(args, p.key) is not None}
     config = pipeline.parse_config("", {**settings, "method": args.method})
-    method = pipeline.METHODS[config.method]
     wells = pipeline.read_patterns_csv(args.patterns)
-    reports = {}
-    for w in wells:
-        out, report = method.regularize(w.series(w.sf), config,
-                                        w.series(w.attrs[:, pipeline.PREDICTOR]))
-        w.sf = out.values
-        reports[w.well_id] = report
+    pairs, reports = pipeline.regularize_wells(wells, config)
+    for w, (_, shaped) in zip(wells, pairs):
+        w.sf = shaped.values
     pipeline.write_patterns_csv(args.out, wells)
     with open(args.report, "w") as fh:
         json.dump(reports, fh, indent=1, sort_keys=True)
@@ -263,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_prep)
 
-    p = sub.add_parser("metrics", help="entropy and NMI tables for a pattern CSV")
+    p = sub.add_parser("metrics", help="the per-well entropy and NMI tables of a "
+                       "run's tables.txt for a pattern CSV, raw target only")
     p.add_argument("patterns")
     p.add_argument("--bins", type=int, default=pipeline.RunConfig.mi_bins)
     p.add_argument("--format", choices=("text", "csv"), default="text")

@@ -22,8 +22,9 @@ class FtRegParams:
     zeta_max_hz: float
 
     def __post_init__(self):
-        if not self.zeta_max_hz > 0:  # NaN too
-            raise ConfigError("zeta_max_hz must be positive")
+        if not 0 < self.zeta_max_hz < np.inf:  # NaN too
+            raise ConfigError("zeta_max_hz must be finite and positive, "
+                              f"got {self.zeta_max_hz}")
 
 
 def regularize_ft(target: TimeSeries, params: FtRegParams):

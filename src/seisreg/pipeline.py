@@ -7,7 +7,6 @@ sequencing, configuration and reporting only.
 """
 
 import contextlib
-import io
 import itertools
 import json
 import math
@@ -487,32 +486,30 @@ def evaluate_subset(bundle: mlp.ModelBundle, inputs, targets) -> dict:
     return metrics.evaluate(pred, invert(targets))
 
 
-def _regularize_wells(wells, bounds, config: RunConfig, inputs, targets):
-    """Regularize each well's target: (pooled targets, reports, tables).
-    A well's tables take its two target entropies from the report and score
-    each attribute column themselves."""
+def regularize_wells(wells, config: RunConfig):
+    """Shape each well's target against its own predictor column by the
+    config's method: the (target, shaped) TimeSeries pair of each well, in
+    order, and the method's reports by well id."""
     method = METHODS[config.method]
-    nmi = lambda vals, sf: metrics.nmi(vals, sf.values, config.mi_bins)
-    reg_targets = []
-    reg_reports = {}
-    tables = {}
-    for w, lo, hi in zip(wells, bounds, bounds[1:]):
-        sf_norm = w.series(targets[lo:hi])
-        sf_reg, rep = method.regularize(sf_norm, config,
-                                        w.series(inputs[lo:hi, PREDICTOR]))
-        reg_targets.append(sf_reg.values)
-        reg_reports[w.well_id] = rep
-        scored = dict(zip(ATTRIBUTE_LONG_NAMES.values(), inputs[lo:hi].T))
-        tables[w.well_id] = {
-            "entropy_bits": {"original_sf": rep["entropy_original"],
-                             "regularized_sf": rep["entropy_regularized"],
-                             **{name: metrics.series_entropy(w.series(vals))
-                                for name, vals in scored.items()}},
-            "nmi": {name: {"original": nmi(vals, sf_norm),
-                           "regularized": nmi(vals, sf_reg)}
-                    for name, vals in scored.items()},
-        }
-    return np.concatenate(reg_targets), reg_reports, tables
+    pairs, reports = [], {}
+    for w in wells:
+        target = w.series(w.sf)
+        shaped, reports[w.well_id] = method.regularize(
+            target, config, w.series(w.attrs[:, PREDICTOR]))
+        pairs.append((target, shaped))
+    return pairs, reports
+
+
+def well_tables(well: WellData, targets: dict, bins: int) -> dict:
+    """The spectral entropy of each attribute column and of each target
+    series (`<key>_sf`), and each column's NMI against each target."""
+    columns = dict(zip(ATTRIBUTE_LONG_NAMES.values(), well.attrs.T))
+    scored = {**{f"{key}_sf": t for key, t in targets.items()},
+              **{name: well.series(vals) for name, vals in columns.items()}}
+    return {"entropy_bits": {k: metrics.series_entropy(v) for k, v in scored.items()},
+            "nmi": {name: {key: metrics.nmi(vals, t.values, bins)
+                           for key, t in targets.items()}
+                    for name, vals in columns.items()}}
 
 
 def run_workflow(config: RunConfig):
@@ -548,6 +545,8 @@ def _build_model(config: RunConfig, wells):
     inputs, input_stats, targets, target_stats = pool_patterns(wells)
     # well k's rows of the pooled table are bounds[k]:bounds[k + 1]
     bounds = np.cumsum([0] + [len(w.sf) for w in wells])
+    views = [replace(w, sf=targets[lo:hi], attrs=inputs[lo:hi])
+             for w, lo, hi in zip(wells, bounds, bounds[1:])]
 
     params = config
     if config.method == "ft" and config.zeta_max_hz is None:
@@ -555,19 +554,20 @@ def _build_model(config: RunConfig, wells):
         # schedule and the report see one concrete number; the widest well
         # wins so no well starts over-truncated
         params = replace(config, zeta_max_hz=max(
-            ftreg.default_zeta_max(w.series(inputs[lo:hi, PREDICTOR]))
-            for w, lo, hi in zip(wells, bounds, bounds[1:])
-        ))
+            ftreg.default_zeta_max(v.series(v.attrs[:, PREDICTOR])) for v in views))
     attempts = []
     for attempt_no in range(config.max_attempts):
         try:
-            reg_targets, reg_reports, tables = _regularize_wells(
-                wells, bounds, params, inputs, targets)
+            pairs, reg_reports = regularize_wells(views, params)
+            tables = {v.well_id: well_tables(v, {"original": t, "regularized": s},
+                                             config.mi_bins)
+                      for v, (t, s) in zip(views, pairs)}
         except (ConfigError, DataError) as exc:
             if not attempts:
                 raise
             attempts[-1]["tightening_stopped"] = f"attempt {attempt_no}: {exc}"
             break
+        reg_targets = np.concatenate([s.values for _, s in pairs])
         bundle, history, (_, test, held_out) = train_model(
             wells, params, inputs, input_stats, reg_targets, target_stats)
         score = lambda rows: evaluate_subset(bundle, inputs[rows], reg_targets[rows])
@@ -634,43 +634,41 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def report_tables(attempt: dict, fmt: str = "text") -> str:
-    """Render the entropy, NMI and per-well validation tables of one
-    attempt (a run's chosen one), with the good-fit verdict per well."""
-    out = io.StringIO()
+def _render(rows, fmt: str) -> str:
     sep = "," if fmt == "csv" else "  "
+    return "".join(sep.join(row) + "\n" for row in rows)
 
-    def emit(*cells):
-        print(sep.join(str(c) for c in cells), file=out)
 
-    def scores(row):
-        return [_fmt(row[k]) for k in metrics.EVALUATORS]
+def tables_text(tables: dict, fmt: str = "text") -> str:
+    """Render `well_tables` results keyed by well id, in id order: each
+    well's entropies, its NMI of each column against each target, then a
+    blank line."""
+    rows = []
+    for well_id in sorted(tables):
+        entropy, nmi = tables[well_id]["entropy_bits"], tables[well_id]["nmi"]
+        keys = sorted(next(iter(nmi.values())))
+        rows += [[f"# entropy_bits well={well_id}"], ["variable", "entropy_bits"],
+                 *([name, _fmt(entropy[name])] for name in sorted(entropy)),
+                 [f"# nmi well={well_id}"], ["predictor", *(f"vs_{k}_sf" for k in keys)],
+                 *([name, *(_fmt(nmi[name][k]) for k in keys)] for name in sorted(nmi)),
+                 []]
+    return _render(rows, fmt)
 
-    for well_id in sorted(attempt["tables"]):
-        tables = attempt["tables"][well_id]
-        emit(f"# entropy_bits well={well_id}")
-        emit("variable", "entropy_bits")
-        for name in sorted(tables["entropy_bits"]):
-            emit(name, _fmt(tables["entropy_bits"][name]))
-        emit(f"# nmi well={well_id}")
-        emit("predictor", "vs_original_sf", "vs_regularized_sf")
-        for name in sorted(tables["nmi"]):
-            row = tables["nmi"][name]
-            emit(name, _fmt(row["original"]), _fmt(row["regularized"]))
-        emit()
+
+def report_tables(attempt: dict, fmt: str = "text") -> str:
+    """Render one attempt (a run's chosen one): `tables_text` of its
+    entropy and NMI tables, then its per-well validation scores with the
+    good-fit verdict per well, and its pooled test scores."""
+    scores = lambda row: [_fmt(row[k]) for k in metrics.EVALUATORS]
     bounds = ", ".join(f"{k.upper()}{'>' if k == 'cc' else '<'}{bound}"
                        for k, bound in GOOD_FIT.items())
-    emit(f"# validation per well (good fit: {bounds})")
-    emit("well", *metrics.EVALUATORS, "verdict")
-    for well_id in sorted(attempt["validation"]):
-        verdict = "pass" if attempt["good_fit"][well_id] else "FAIL"
-        emit(well_id, *scores(attempt["validation"][well_id]), verdict)
-    emit("pooled", *scores(attempt["validation_pooled"]), "")
-    emit()
-    emit("# test (pooled)")
-    emit(*metrics.EVALUATORS)
-    emit(*scores(attempt["test"]))
-    return out.getvalue()
+    rows = [[f"# validation per well (good fit: {bounds})"],
+            ["well", *metrics.EVALUATORS, "verdict"],
+            *([well_id, *scores(row), "pass" if attempt["good_fit"][well_id] else "FAIL"]
+              for well_id, row in sorted(attempt["validation"].items())),
+            ["pooled", *scores(attempt["validation_pooled"]), ""], [],
+            ["# test (pooled)"], list(metrics.EVALUATORS), scores(attempt["test"])]
+    return tables_text(attempt["tables"], fmt) + _render(rows, fmt)
 
 
 def write_patterns_csv(path, wells: list) -> None:

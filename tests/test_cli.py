@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from seisreg import cli, emdreg, mlp, pipeline, synthbench
+from seisreg import cli, emdreg, metrics, mlp, pipeline, synthbench
 from seisreg.errors import DataError
 from seisreg.formats import svol, volume
 from seisreg.formats.segy import TraceLayout
@@ -165,8 +165,11 @@ class TestExitCodes:
         ["train", "p.csv", "--max-iters", "-1", "--out", "OUT"],
         ["convert", "--segy", "in.sgy", "--inline-byte", "999", "--out", "OUT"],
         ["convert", "--segy", "in.sgy", "--xline-byte", "0", "--out", "OUT"],
+        ["regularize", "p.csv", "--method", "ft", "--zeta-max", "inf",
+         "--out", "OUT", "--report", "OUT"],
     ], ids=["prep-well", "filter-window", "metrics-bins", "train-hidden",
-            "train-max-iters", "convert-inline-byte", "convert-xline-byte"])
+            "train-max-iters", "convert-inline-byte", "convert-xline-byte",
+            "regularize-zeta-max"])
     def test_bad_flag_is_2_before_reading_inputs(self, tmp_path, capsys, argv):
         # no input exists: opening any of them would exit 3 with an io error
         out = tmp_path / "out"
@@ -671,6 +674,23 @@ class TestEndToEnd:
         assert run("metrics", patterns) == 0
         out = capsys.readouterr().out
         assert "entropy_bits well=A" in out and "impedance" in out
+
+    def test_metrics_csv_rows(self, patterns, capsys):
+        # each well's section of tables.txt, with the raw target as the one
+        # target: entropies and NMI in sorted rows, then a blank line
+        assert run("metrics", patterns, "--format", "csv") == 0
+        want, bins = [], pipeline.RunConfig.mi_bins
+        for w in pipeline.read_patterns_csv(patterns):
+            columns = dict(zip(("impedance", "amplitude", "inst_frequency"), w.attrs.T))
+            entropy = {**columns, "original_sf": w.sf}
+            want += [f"# entropy_bits well={w.well_id}", "variable,entropy_bits",
+                     *(f"{name},{pipeline._fmt(metrics.series_entropy(w.series(vals)))}"
+                       for name, vals in sorted(entropy.items())),
+                     f"# nmi well={w.well_id}", "predictor,vs_original_sf",
+                     *(f"{name},{pipeline._fmt(metrics.nmi(vals, w.sf, bins))}"
+                       for name, vals in sorted(columns.items())),
+                     ""]
+        assert capsys.readouterr().out.splitlines() == want
 
     def test_regularize_and_train_and_volume_ops(self, workdir, bench, patterns,
                                                  capsys):
